@@ -18,7 +18,7 @@ use smarq_ir::{form_superblock, FormationParams};
 use smarq_opt::{
     optimize_superblock, optimize_superblock_traced, AliasBlacklist, OptConfig, OptTrace,
 };
-use smarq_runtime::{DispatchMode, DynOptSystem, ExecTier, SystemConfig};
+use smarq_runtime::{DynOptSystem, ExecTier, SystemConfig};
 use smarq_vliw::{AnyAliasHw, HwKind, MachineConfig, Simulator, VliwState};
 use std::time::Instant;
 
@@ -143,71 +143,8 @@ pub fn compare_mem_access_sparse() -> Comparison {
     }
 }
 
-/// End-to-end dispatch overhead on a region-chained hot loop: the seed's
-/// naive dispatcher (per-entry hashmap probe, full guest marshal both
-/// ways, full-state checkpoint clone, per-block stat sync) vs the chained
-/// dispatcher (flat cache, memoized region→region links followed in a
-/// tight loop, resident guest state, write-masked checkpoints, batched
-/// stat sync).
-///
-/// Both systems run the same effectively-infinite counted loop with a
-/// load/store pair. Each is warmed until the loop is translated, then
-/// timed on identical incremental budget slices of steady-state
-/// execution, so one timed iteration is exactly [`DISPATCH_STEP`] guest
-/// instructions dominated by region entries.
-pub fn compare_dispatch() -> Comparison {
-    /// Guest instructions per timed closure call.
-    const DISPATCH_STEP: u64 = 20_000;
-    const WARM: u64 = 100_000;
-
-    fn warm(mode: DispatchMode) -> DynOptSystem {
-        // Register-only tiny loop: the per-iteration work is two guest
-        // instructions, so the measurement is dominated by dispatch
-        // (lookup, marshal, chaining) rather than by memory simulation.
-        let cfg = SystemConfig {
-            hot_threshold: 50,
-            dispatch: mode,
-            exec_tier: ExecTier::CycleSim,
-            ..Default::default()
-        };
-        let mut sys = DynOptSystem::new(reg_loop_kernel(), cfg);
-        sys.run_to_completion(WARM);
-        assert!(
-            sys.stats().regions_formed >= 1,
-            "hot loop must be translated before timing"
-        );
-        sys
-    }
-
-    let mut naive = warm(DispatchMode::Naive);
-    let mut budget = WARM;
-    let before = time_fn("dispatch/naive_hashmap_marshal", move || {
-        budget += DISPATCH_STEP;
-        naive.run_to_completion(budget)
-    });
-
-    let mut chained = warm(DispatchMode::Chained);
-    budget = WARM + DISPATCH_STEP;
-    // Prove the fast path is engaged before timing it.
-    chained.run_to_completion(budget);
-    assert!(
-        chained.stats().chain_follows > 0,
-        "chained system must follow region links in steady state"
-    );
-    let after = time_fn("dispatch/chained_resident", move || {
-        budget += DISPATCH_STEP;
-        chained.run_to_completion(budget)
-    });
-
-    Comparison {
-        name: "dispatch".into(),
-        before,
-        after,
-    }
-}
-
-/// The dispatch-bound hot-loop kernel of [`compare_dispatch`]: two guest
-/// instructions per iteration, no memory traffic.
+/// A dispatch-bound hot-loop kernel: two guest instructions per
+/// iteration, no memory traffic.
 fn reg_loop_kernel() -> Program {
     let mut b = ProgramBuilder::new();
     let entry = b.block();
@@ -265,7 +202,6 @@ fn compare_tiers(
     fn warm(kernel: fn() -> Program, tier: ExecTier) -> DynOptSystem {
         let cfg = SystemConfig {
             hot_threshold: 50,
-            dispatch: DispatchMode::Chained,
             exec_tier: tier,
             // Unroll the hot loop so the region carries real straight-line
             // work: with a 2-op region body both tiers are dominated by
@@ -333,111 +269,6 @@ pub fn compare_exec_tier_mem() -> Comparison {
         "exec_tier/mem_functional",
         mem_loop_kernel,
     )
-}
-
-/// A translation-heavy kernel: `loops` distinct counted loops run in
-/// sequence, each hot enough to be translated — so a run performs many
-/// independent region formations + optimizations, which is the work the
-/// async pipeline moves off the guest's critical path.
-fn many_loops_kernel(loops: usize, iters: i64) -> Program {
-    let mut b = ProgramBuilder::new();
-    let entry = b.block();
-    // Each loop gets a preheader that resets the induction variable:
-    // the reset must NOT live at the top of the looping block itself,
-    // because the back edge re-executes the whole block and the loop
-    // would never terminate.
-    let pres: Vec<BlockId> = (0..loops).map(|_| b.block()).collect();
-    let bodies: Vec<BlockId> = (0..loops).map(|_| b.block()).collect();
-    let done = b.block();
-    b.iconst(entry, Reg(2), iters);
-    b.iconst(entry, Reg(3), 0x1000);
-    b.jump(entry, pres[0]);
-    for (i, &body) in bodies.iter().enumerate() {
-        let next = pres.get(i + 1).copied().unwrap_or(done);
-        b.iconst(pres[i], Reg(1), 0);
-        b.jump(pres[i], body);
-        // Each loop gets its own memory op mix so the formed regions are
-        // genuinely distinct translations, not copies.
-        b.ld(body, Reg(4), Reg(3), (i as i64 % 7) * 8);
-        b.alu(body, AluOp::Add, Reg(4), Reg(4), Reg(1));
-        b.st(body, Reg(4), Reg(3), (i as i64 % 5) * 8);
-        b.alu_imm(body, AluOp::Add, Reg(1), Reg(1), 1);
-        b.branch(body, CmpOp::Lt, Reg(1), Reg(2), body, next);
-    }
-    b.halt(done);
-    b.finish(entry)
-}
-
-/// Translation stalls on the guest's critical path: inline translation
-/// (the dispatch loop stops and runs formation + optimization + install
-/// synchronously, `translation_ns`) vs the async pipeline (the dispatch
-/// loop only enqueues a snapshot and later links in the finished region;
-/// its entire critical-path cost is `async_stall_ns`). Both numbers are
-/// reported per translation actually produced, from one end-to-end run
-/// each of the same translation-heavy multi-loop kernel.
-///
-/// This is not a closure-timing microbench: the system's own monotonic
-/// accounting *is* the measurement, so the comparison captures exactly
-/// the stall the guest would observe (and `speedup` is the stall-removal
-/// factor the async pipeline buys). The background worker's time is
-/// still spent — `stall_cycles_avoided()` reports it — just no longer in
-/// front of guest progress.
-pub fn compare_async_translate() -> Comparison {
-    let program = many_loops_kernel(24, 2_000);
-
-    // Inline: every translation stalls the dispatch loop. Hot loops are
-    // unrolled so each translation job carries a realistic optimization
-    // payload (scheduling + allocation cost grows with region size); the
-    // async path's enqueue + publish bookkeeping does not.
-    let mut cfg = SystemConfig {
-        hot_threshold: 50,
-        dispatch: DispatchMode::Chained,
-        ..Default::default()
-    };
-    cfg.unroll_factor = 8;
-    cfg.async_translate = false;
-    let mut inline_sys = DynOptSystem::new(program.clone(), cfg.clone());
-    inline_sys.run_to_completion(u64::MAX);
-    let s = inline_sys.stats();
-    let inline_jobs = (s.regions_formed + s.retranslations).max(1) as u64;
-    assert!(
-        s.regions_formed >= 16,
-        "kernel must be translation-heavy, formed only {}",
-        s.regions_formed
-    );
-    let before = Measurement::single(
-        "async_translate/inline_stall",
-        s.translation_ns as f64 / inline_jobs as f64,
-        inline_jobs,
-    );
-
-    // Async: the critical path only pays the enqueue and the publish
-    // link-in. The deterministic in-thread stepper (`translate_workers =
-    // 0`) stands in for the worker pool: on a single-core host a real
-    // worker thread preempts the execution thread inside the stall
-    // timers, so the measured "stall" would absorb slices of the
-    // worker's own translation time and say nothing about the
-    // bookkeeping cost the exec thread actually pays.
-    cfg.async_translate = true;
-    cfg.translate_workers = 0;
-    cfg.translate_queue_depth = 8;
-    let mut async_sys = DynOptSystem::new(program, cfg);
-    async_sys.run_to_completion(u64::MAX);
-    async_sys.translation_drain();
-    let s = async_sys.stats();
-    assert_eq!(s.translation_ns, 0, "async mode must not translate inline");
-    assert!(s.async_published >= 1, "async run must publish regions");
-    let after = Measurement::single(
-        "async_translate/queue_publish",
-        s.async_stall_ns as f64 / s.async_enqueued.max(1) as f64,
-        s.async_enqueued.max(1),
-    );
-
-    Comparison {
-        name: "async_translate".into(),
-        before,
-        after,
-    }
 }
 
 /// Absolute cycle-level simulator throughput on a real translated region
@@ -720,20 +551,6 @@ pub fn to_json(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn many_loops_kernel_halts_under_pure_interpretation() {
-        // Regression: an early version reset the induction variable at
-        // the top of each looping block, so every back edge re-ran the
-        // reset and the guest never terminated (hanging `bench-json`).
-        let p = many_loops_kernel(24, 2_000);
-        let mut interp = Interpreter::new();
-        let reason = interp.run(&p, 1_000_000);
-        assert_eq!(reason, smarq_guest::RunOutcome::Halted);
-        // 24 loops x 2000 iterations x 5 body instructions, plus the
-        // entry/preheader glue.
-        assert!(interp.executed_instrs() >= 24 * 2_000 * 5);
-    }
 
     #[test]
     fn json_shape_is_plausible() {

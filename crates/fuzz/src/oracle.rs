@@ -4,16 +4,19 @@
 //!
 //! 1. **End-to-end** — a pure [`Interpreter`] run is the reference; the
 //!    full [`DynOptSystem`] must reproduce the architectural state
-//!    bit-exactly under every hardware scheme. The same case is then
-//!    re-run with region chaining disabled ([`DispatchMode::Naive`]) and
-//!    the two dispatchers must agree on both the final architectural
-//!    state and the guest-instruction totals. A third run with the fast
-//!    functional tier enabled ([`ExecTier::Functional`], sampling every
-//!    region entry) must likewise agree, with zero sampled tier-down
-//!    mismatches. A fourth run moves translation onto the async
-//!    background pipeline (a manually stepped depth-1 queue driven by a
-//!    seeded interleaving schedule) and must again be bit-exact — every
-//!    publish/execute/deopt interleaving is architecturally invisible.
+//!    bit-exactly under every hardware scheme.
+//!    - 1b: its retired guest-instruction count must equal the
+//!      interpreter's exactly (every region exit records what it
+//!      retires).
+//!    - 1c: a second run on the fast functional tier
+//!      ([`ExecTier::Functional`], sampling every region entry) must
+//!      reach the same state and count, with zero sampled tier-down
+//!      mismatches.
+//!    - 1d: a third run translates through a stepped private hub
+//!      ([`DynOptSystem::stepped`], depth-1 queue) under a seeded
+//!      interleaving schedule and must again be bit-exact, with the
+//!      exact count — every publish/execute/deopt interleaving is
+//!      architecturally invisible.
 //! 2. **Allocation validation** — every superblock the system formed is
 //!    re-optimized through [`smarq_opt::optimize_superblock_traced`] and
 //!    the resulting allocation is replayed symbolically by
@@ -58,8 +61,8 @@ use smarq::{AliasCode, AllocScratch, Dep, DepGraph, MemOpId};
 use smarq_guest::{ArchState, Interpreter, Program, RunOutcome};
 use smarq_opt::{optimize_superblock_traced, OptConfig};
 use smarq_runtime::{
-    run_multi_interleaved, DispatchMode, DynOptSystem, ExecTier, GuestContext, HubConfig,
-    StepExecutor, StopReason, SystemConfig, TranslationHub,
+    run_multi_interleaved, DynOptSystem, ExecTier, GuestContext, HubConfig, StopReason,
+    SystemConfig, TranslationHub,
 };
 
 /// Oracle budgets and system knobs.
@@ -113,14 +116,12 @@ pub enum Divergence {
         /// First differing locations.
         detail: String,
     },
-    /// Layer 1b: the chained dispatcher (region chaining + resident guest
-    /// state + batched stat sync) diverged from the retained naive
-    /// dispatcher — different architectural state or different
-    /// guest-instruction accounting on the same program.
-    DispatchMismatch {
+    /// Layer 1b: the system's retired guest-instruction count differs
+    /// from the reference interpreter's.
+    CountMismatch {
         /// Scheme label from [`schemes`].
         scheme: &'static str,
-        /// What differed between the two dispatchers.
+        /// The two counts.
         detail: String,
     },
     /// Layer 1c: the fast functional tier diverged from the cycle
@@ -133,10 +134,9 @@ pub enum Divergence {
         /// What differed between the functional tier and the cycle sim.
         detail: String,
     },
-    /// Layer 1d: the async background translation pipeline diverged from
-    /// inline translation — different architectural state or different
-    /// guest-instruction accounting under a seeded publish/execute
-    /// interleaving schedule.
+    /// Layer 1d: translation through a stepped hub diverged from the
+    /// reference — different architectural state or guest-instruction
+    /// count under a seeded publish/execute interleaving schedule.
     AsyncMismatch {
         /// Scheme label from [`schemes`].
         scheme: &'static str,
@@ -213,7 +213,7 @@ impl Divergence {
         match self {
             Divergence::Nontermination => "nontermination",
             Divergence::ArchMismatch { .. } => "arch-mismatch",
-            Divergence::DispatchMismatch { .. } => "dispatch-mismatch",
+            Divergence::CountMismatch { .. } => "count-mismatch",
             Divergence::TierMismatch { .. } => "tier-mismatch",
             Divergence::AsyncMismatch { .. } => "async-mismatch",
             Divergence::ValidatorReject { .. } => "validator-reject",
@@ -239,8 +239,8 @@ impl std::fmt::Display for Divergence {
             Divergence::ArchMismatch { scheme, detail } => {
                 write!(f, "arch-mismatch under {scheme}: {detail}")
             }
-            Divergence::DispatchMismatch { scheme, detail } => {
-                write!(f, "dispatch-mismatch under {scheme}: {detail}")
+            Divergence::CountMismatch { scheme, detail } => {
+                write!(f, "count-mismatch under {scheme}: {detail}")
             }
             Divergence::TierMismatch { scheme, detail } => {
                 write!(f, "tier-mismatch under {scheme}: {detail}")
@@ -299,13 +299,13 @@ impl std::fmt::Display for Divergence {
 pub struct OracleReport {
     /// Schemes executed end to end.
     pub schemes: usize,
-    /// Chained-vs-naive dispatcher differentials that came out bit-exact.
-    pub dispatch_differentials: usize,
+    /// Runs whose guest-instruction count matched the interpreter's.
+    pub count_checks: usize,
     /// Functional-tier-vs-cycle-sim differentials that came out bit-exact
     /// (final state, instruction accounting, and every in-run sample).
     pub tier_differentials: usize,
-    /// Async-pipeline-vs-inline differentials that came out bit-exact
-    /// under a seeded publish/execute interleaving schedule.
+    /// Stepped-hub runs that came out bit-exact under a seeded
+    /// publish/execute interleaving schedule.
     pub async_differentials: usize,
     /// Regions whose traces passed layers 2–4.
     pub regions_checked: usize,
@@ -373,41 +373,26 @@ pub fn check_program(program: &Program, params: &OracleParams) -> Result<OracleR
             });
         }
 
-        // Layer 1b: the chained dispatcher vs the retained naive
-        // dispatcher. Same program, same scheme, chaining off: the final
-        // architectural state and the guest-instruction accounting must
-        // both be bit-exact against the chained run above.
-        let mut naive_cfg = cfg.clone();
-        naive_cfg.dispatch = DispatchMode::Naive;
-        let mut naive_sys = DynOptSystem::new(program.clone(), naive_cfg);
-        naive_sys.run_to_completion(u64::MAX);
-        let naive_got = naive_sys.interp().arch_state();
-        if naive_got != expected {
-            return Err(Divergence::DispatchMismatch {
-                scheme: label,
-                detail: format!(
-                    "naive dispatch arch state: {}",
-                    arch_diff(&expected, &naive_got)
-                ),
-            });
-        }
-        if naive_sys.stats().guest_instrs() != sys.stats().guest_instrs() {
-            return Err(Divergence::DispatchMismatch {
-                scheme: label,
-                detail: format!(
-                    "guest_instrs: chained {} vs naive {}",
-                    sys.stats().guest_instrs(),
-                    naive_sys.stats().guest_instrs()
-                ),
-            });
-        }
-        report.dispatch_differentials += 1;
+        // Layer 1b: exact instruction accounting.
+        let ref_instrs = reference.executed_instrs();
+        let count = |run: &str, got: u64| {
+            if got == ref_instrs {
+                Ok(())
+            } else {
+                Err(Divergence::CountMismatch {
+                    scheme: label,
+                    detail: format!("{run} run retired {got}, interpreter {ref_instrs}"),
+                })
+            }
+        };
+        count("main", sys.stats().guest_instrs())?;
+        report.count_checks += 1;
 
-        // Layer 1c: the fast functional tier vs the cycle simulator. Same
-        // program, same scheme, functional tier on with every region entry
-        // tier-down sampled: the final architectural state and the
-        // guest-instruction accounting must match the cycle-sim run above,
-        // and every in-run sample must have been bit-exact.
+        // Layer 1c: the fast functional tier. Same program, same scheme,
+        // functional tier on with every region entry tier-down sampled:
+        // the final architectural state and the guest-instruction count
+        // must match the reference, and every in-run sample must have been
+        // bit-exact.
         let mut fast_cfg = cfg.clone();
         fast_cfg.exec_tier = ExecTier::Functional;
         fast_cfg.tier_sample_interval = 1;
@@ -423,16 +408,8 @@ pub fn check_program(program: &Program, params: &OracleParams) -> Result<OracleR
                 ),
             });
         }
-        if fast_sys.stats().guest_instrs() != sys.stats().guest_instrs() {
-            return Err(Divergence::TierMismatch {
-                scheme: label,
-                detail: format!(
-                    "guest_instrs: cycle-sim {} vs functional {}",
-                    sys.stats().guest_instrs(),
-                    fast_sys.stats().guest_instrs()
-                ),
-            });
-        }
+        count("functional", fast_sys.stats().guest_instrs())?;
+        report.count_checks += 1;
         if fast_sys.stats().tier_sample_mismatches != 0 {
             return Err(Divergence::TierMismatch {
                 scheme: label,
@@ -445,22 +422,17 @@ pub fn check_program(program: &Program, params: &OracleParams) -> Result<OracleR
         }
         report.tier_differentials += 1;
 
-        // Layer 1d: async background translation vs inline. Same program,
-        // same scheme, but translations flow through a manually stepped
-        // depth-1 pipeline whose publish points are interleaved against
-        // guest dispatch by a seeded xorshift schedule. Whatever the
-        // schedule — stale regions running, publishes landing mid-chain,
-        // deopts racing retranslations — the architectural state and the
-        // guest-instruction accounting must be bit-exact.
+        // Layer 1d: translation through a stepped hub. Same program, same
+        // scheme, but translations wait in a depth-1 queue whose publish
+        // points are interleaved against guest dispatch by a seeded
+        // xorshift schedule. Whatever the schedule — stale regions
+        // running, publishes landing mid-chain, deopts racing
+        // retranslations — the architectural state and the
+        // guest-instruction count must be exact.
         let seed = 0xa11a_5000 + report.schemes as u64;
         let mut async_cfg = cfg.clone();
-        async_cfg.async_translate = true;
         async_cfg.translate_queue_depth = 1;
-        let mut async_sys = DynOptSystem::with_executor(
-            program.clone(),
-            async_cfg,
-            Box::new(StepExecutor::manual(1)),
-        );
+        let mut async_sys = DynOptSystem::stepped(program.clone(), async_cfg);
         if async_sys.run_interleaved(seed, u64::MAX) != StopReason::Halted {
             return Err(Divergence::AsyncMismatch {
                 scheme: label,
@@ -476,9 +448,16 @@ pub fn check_program(program: &Program, params: &OracleParams) -> Result<OracleR
                 detail: format!("async arch state: {}", arch_diff(&expected, &async_got)),
             });
         }
-        // (No guest_instrs comparison here: that counter reflects region
-        // shapes, and the async run legitimately forms regions from later
-        // profile snapshots than the inline run does.)
+        if async_sys.stats().guest_instrs() != ref_instrs {
+            return Err(Divergence::AsyncMismatch {
+                scheme: label,
+                seed,
+                detail: format!(
+                    "retired {}, interpreter {ref_instrs}",
+                    async_sys.stats().guest_instrs()
+                ),
+            });
+        }
         report.async_differentials += 1;
 
         // Layers 2 and 3 over every region the system actually formed.
@@ -810,7 +789,7 @@ mod tests {
         let p = generate(1, &FuzzParams::default());
         let report = check_program(&p, &OracleParams::default()).expect("no divergence");
         assert_eq!(report.schemes, 6);
-        assert_eq!(report.dispatch_differentials, 6);
+        assert_eq!(report.count_checks, 12);
         assert_eq!(report.tier_differentials, 6);
         assert_eq!(report.async_differentials, 6);
         assert!(report.regions_checked > 0, "no regions formed");

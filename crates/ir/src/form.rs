@@ -108,14 +108,21 @@ pub fn form_superblock(
     let mut exits = Vec::new();
     let mut trace = Vec::new();
 
+    // Guest instructions retired up to the end of the current trace
+    // block, terminators included: what leaving through its exits retires.
+    let mut retired = 0u64;
     let push_exit = |ops: &mut Vec<IrOp>,
                      origins: &mut Vec<OpOrigin>,
                      exits: &mut Vec<IrExit>,
                      block: BlockId,
+                     guest_instrs: u64,
                      target: Option<BlockId>,
                      cond: Option<(smarq_guest::CmpOp, u8, u8)>| {
         let exit_id = exits.len() as u32;
-        exits.push(IrExit { target });
+        exits.push(IrExit {
+            target,
+            guest_instrs,
+        });
         ops.push(IrOp::Exit { exit_id, cond });
         origins.push(OpOrigin::terminator(block));
     };
@@ -124,6 +131,7 @@ pub fn form_superblock(
     loop {
         trace.push(cur);
         let block = program.block(cur);
+        retired += block.instrs.len() as u64 + 1;
         for (i, instr) in block.instrs.iter().enumerate() {
             ops.push(translate_instr(instr));
             origins.push(OpOrigin {
@@ -157,13 +165,21 @@ pub fn form_superblock(
 
         match block.term {
             Terminator::Halt => {
-                push_exit(&mut ops, &mut origins, &mut exits, cur, None, None);
+                push_exit(&mut ops, &mut origins, &mut exits, cur, retired, None, None);
                 break;
             }
             Terminator::Jump(t) => {
                 match stop_reason {
                     Some(target) => {
-                        push_exit(&mut ops, &mut origins, &mut exits, cur, target, None);
+                        push_exit(
+                            &mut ops,
+                            &mut origins,
+                            &mut exits,
+                            cur,
+                            retired,
+                            target,
+                            None,
+                        );
                         break;
                     }
                     None => {
@@ -188,6 +204,7 @@ pub fn form_superblock(
                         &mut origins,
                         &mut exits,
                         cur,
+                        retired,
                         Some(fallthrough),
                         Some((op.negate(), ra.0, rb.0)),
                     );
@@ -197,13 +214,22 @@ pub fn form_superblock(
                         &mut origins,
                         &mut exits,
                         cur,
+                        retired,
                         Some(taken),
                         Some((op, ra.0, rb.0)),
                     );
                 }
                 match stop_reason {
                     Some(target) => {
-                        push_exit(&mut ops, &mut origins, &mut exits, cur, target, None);
+                        push_exit(
+                            &mut ops,
+                            &mut origins,
+                            &mut exits,
+                            cur,
+                            retired,
+                            target,
+                            None,
+                        );
                         break;
                     }
                     None => cur = next,

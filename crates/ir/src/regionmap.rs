@@ -94,7 +94,10 @@ mod tests {
                 n + 1
             ],
             ops,
-            exits: vec![IrExit { target: None }],
+            exits: vec![IrExit {
+                target: None,
+                guest_instrs: 1,
+            }],
             entry: BlockId(0),
             trace: vec![BlockId(0)],
         }

@@ -29,6 +29,9 @@ impl OpOrigin {
 pub struct IrExit {
     /// The guest block to continue at; `None` means program halt.
     pub target: Option<BlockId>,
+    /// Guest instructions retired when the region leaves through this
+    /// exit, the exiting block's terminator included.
+    pub guest_instrs: u64,
 }
 
 /// A straight-line IR operation. Registers are physical target registers
@@ -352,7 +355,10 @@ mod tests {
                 cond: None,
             }],
             origins: vec![OpOrigin::terminator(BlockId(0))],
-            exits: vec![IrExit { target: None }],
+            exits: vec![IrExit {
+                target: None,
+                guest_instrs: 1,
+            }],
             entry: BlockId(0),
             trace: vec![BlockId(0)],
         };
@@ -394,7 +400,10 @@ mod tests {
                 },
                 OpOrigin::terminator(BlockId(0)),
             ],
-            exits: vec![IrExit { target: None }],
+            exits: vec![IrExit {
+                target: None,
+                guest_instrs: 1,
+            }],
             entry: BlockId(0),
             trace: vec![BlockId(0)],
         };

@@ -9,12 +9,13 @@
 //! A superblock whose final exit returns to its own entry (a loop region)
 //! is unrolled by replicating its body: the unconditional back-edge exit
 //! between replicas disappears, while every conditional side exit is kept
-//! (each iteration can still leave early). Registers carry from replica to
+//! (each iteration can still leave early) under an exit of its own, which
+//! records the guest instructions retired up to that copy. Registers carry from replica to
 //! replica exactly as they would across iterations, so the transformation
 //! is semantics-preserving by construction; op origins repeat, so runtime
 //! alias blacklisting applies to every replica at once.
 
-use crate::sblock::{IrOp, Superblock};
+use crate::sblock::{IrExit, IrOp, Superblock};
 
 /// Unrolls `sb` by `factor` if it is a self-loop region, bounded by
 /// `max_ops`. Returns the unrolled superblock and the factor actually
@@ -58,22 +59,52 @@ pub fn unroll_superblock(sb: &Superblock, factor: u32, max_ops: usize) -> (Super
     if applied <= 1 {
         return (sb.clone(), 1);
     }
-    let final_exit = *sb.ops.last().expect("non-empty superblock");
     let final_origin = *sb.origins.last().expect("origins aligned");
+    let Some(&IrOp::Exit {
+        exit_id: final_id, ..
+    }) = sb.ops.last()
+    else {
+        unreachable!("checked above")
+    };
+    let final_exit = sb.exits[final_id as usize];
+    // One trip around the loop retires what the back-edge exit retires.
+    let iteration = final_exit.guest_instrs;
 
+    // Exits are renumbered in op order: every copy of a side exit gets an
+    // exit of its own recording the iterations before it, so consecutive
+    // copies exit through consecutive indices.
     let mut ops = Vec::with_capacity(body_len * applied as usize + 1);
     let mut origins = Vec::with_capacity(ops.capacity());
-    for _ in 0..applied {
-        ops.extend_from_slice(&sb.ops[..body_len]);
+    let mut exits = Vec::new();
+    let mut push_exit = |exit: IrExit, guest_instrs: u64, cond| {
+        exits.push(IrExit {
+            guest_instrs,
+            ..exit
+        });
+        IrOp::Exit {
+            exit_id: (exits.len() - 1) as u32,
+            cond,
+        }
+    };
+    for replica in 0..u64::from(applied) {
+        for &op in &sb.ops[..body_len] {
+            ops.push(match op {
+                IrOp::Exit { exit_id, cond } => {
+                    let exit = sb.exits[exit_id as usize];
+                    push_exit(exit, exit.guest_instrs + replica * iteration, cond)
+                }
+                op => op,
+            });
+        }
         origins.extend_from_slice(&sb.origins[..body_len]);
     }
-    ops.push(final_exit);
+    ops.push(push_exit(final_exit, u64::from(applied) * iteration, None));
     origins.push(final_origin);
 
     let out = Superblock {
         ops,
         origins,
-        exits: sb.exits.clone(),
+        exits,
         entry: sb.entry,
         trace: sb.trace.clone(),
     };
@@ -120,11 +151,28 @@ mod tests {
         assert_eq!(applied, 3);
         assert_eq!(u.ops.len(), 3 * body + 1);
         u.validate().unwrap();
-        // Side exits replicate; the exit table does not.
-        assert_eq!(u.exits.len(), sb.exits.len());
+        // Side exits replicate, each copy under an exit of its own. Exits
+        // are numbered in op order; copy k's side exit retires the k
+        // iterations before it, and the back edge retires all three.
         let orig_side_exits = sb.ops.iter().filter(|o| o.is_exit()).count() - 1;
-        let side_exits = u.ops.iter().filter(|o| o.is_exit()).count();
-        assert_eq!(side_exits, 3 * orig_side_exits + 1);
+        let exit_ids: Vec<u32> = u
+            .ops
+            .iter()
+            .filter_map(|o| match *o {
+                IrOp::Exit { exit_id, .. } => Some(exit_id),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(exit_ids.len(), 3 * orig_side_exits + 1);
+        assert_eq!(exit_ids, (0..u.exits.len() as u32).collect::<Vec<_>>());
+        let iteration = sb.exits.last().unwrap().guest_instrs;
+        for k in 0..3u64 {
+            assert_eq!(
+                u.exits[k as usize].guest_instrs,
+                sb.exits[0].guest_instrs + k * iteration
+            );
+        }
+        assert_eq!(u.exits[3].guest_instrs, 3 * iteration);
         // Memory operations scale with the factor.
         assert_eq!(u.mem_op_count(), 3 * sb.mem_op_count());
     }

@@ -281,7 +281,10 @@ mod tests {
                 })
                 .collect(),
             ops,
-            exits: vec![IrExit { target: None }],
+            exits: vec![IrExit {
+                target: None,
+                guest_instrs: 1,
+            }],
             entry: BlockId(0),
             trace: vec![BlockId(0)],
         }

@@ -301,7 +301,10 @@ mod tests {
                 })
                 .collect(),
             ops,
-            exits: vec![IrExit { target: None }],
+            exits: vec![IrExit {
+                target: None,
+                guest_instrs: 1,
+            }],
             entry: BlockId(0),
             trace: vec![BlockId(0)],
         }
@@ -585,7 +588,10 @@ mod tests {
             },
         ]);
         // Insert a conditional exit between the stores.
-        sb.exits.push(IrExit { target: None });
+        sb.exits.push(IrExit {
+            target: None,
+            guest_instrs: 1,
+        });
         sb.ops.insert(
             1,
             IrOp::Exit {
@@ -855,7 +861,13 @@ mod dce_tests {
                 })
                 .collect(),
             ops,
-            exits: vec![IrExit { target: None }; exits.max(1)],
+            exits: vec![
+                IrExit {
+                    target: None,
+                    guest_instrs: 1,
+                };
+                exits.max(1)
+            ],
             entry: BlockId(0),
             trace: vec![BlockId(0)],
         }

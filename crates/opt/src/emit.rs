@@ -532,7 +532,10 @@ mod efficeon_tests {
                 },
                 OpOrigin::terminator(BlockId(0)),
             ],
-            exits: vec![IrExit { target: None }],
+            exits: vec![IrExit {
+                target: None,
+                guest_instrs: 1,
+            }],
             entry: BlockId(0),
             trace: vec![BlockId(0)],
         };

@@ -245,8 +245,12 @@ pub enum FastOp {
         cmp: CmpOp,
         /// Second compared register (invariant bound, never `rd`).
         cb: u8,
-        /// Exit index (shared by every copy in the run).
+        /// Exit index of the first copy; copy `k` (0-based) exits
+        /// through `exit_id + k * stride`.
         exit_id: u32,
+        /// Exit-index step between consecutive copies (unrolled loops
+        /// give each copy an exit of its own).
+        stride: u32,
         /// Repetition count (≥ 2; single pairs stay `AluImmExitIf`).
         n: u16,
     },
@@ -458,9 +462,10 @@ pub fn compile(program: &VliwProgram) -> Result<FastProgram, SimError> {
                 it.next();
                 // Second pass of the peephole, applied on the fly: a
                 // self-updating fused pair (`ra == ca == rd`, invariant
-                // bound) that repeats the previous stream element extends
-                // a repetition run instead of appending another copy.
-                // Loop unrolling produces exactly such runs.
+                // bound) that repeats the previous stream element, its
+                // exit index advancing by a fixed step, extends a
+                // repetition run instead of appending another copy. Loop
+                // unrolling produces exactly such runs.
                 if ra == rd && ca == rd && cb != rd {
                     let extends = match fused.last_mut() {
                         Some(&mut FastOp::AluImmExitIfRep {
@@ -470,13 +475,15 @@ pub fn compile(program: &VliwProgram) -> Result<FastProgram, SimError> {
                             cmp: p_cmp,
                             cb: p_cb,
                             exit_id: p_exit,
+                            stride,
                             ref mut n,
                         }) if p_op == alu
                             && p_rd == rd
                             && p_imm == imm
                             && p_cmp == cmp
                             && p_cb == cb
-                            && p_exit == exit_id
+                            && u64::from(exit_id)
+                                == u64::from(p_exit) + u64::from(*n) * u64::from(stride)
                             && *n < u16::MAX =>
                         {
                             *n += 1;
@@ -498,7 +505,7 @@ pub fn compile(program: &VliwProgram) -> Result<FastProgram, SimError> {
                             && p_imm == imm
                             && p_cmp == cmp
                             && p_cb == cb
-                            && p_exit == exit_id =>
+                            && exit_id >= p_exit =>
                         {
                             *fused.last_mut().unwrap() = FastOp::AluImmExitIfRep {
                                 op: alu,
@@ -506,7 +513,8 @@ pub fn compile(program: &VliwProgram) -> Result<FastProgram, SimError> {
                                 imm,
                                 cmp,
                                 cb,
-                                exit_id,
+                                exit_id: p_exit,
+                                stride: exit_id - p_exit,
                                 n: 2,
                             };
                             true
@@ -790,6 +798,7 @@ impl FastSim {
                     cmp,
                     cb,
                     exit_id,
+                    stride,
                     n,
                 } => {
                     // The whole run chains through a host-register local;
@@ -809,8 +818,10 @@ impl FastSim {
                     };
                     state.regs[ridx(rd)] = v;
                     if taken != 0 {
-                        // `taken` fused pairs executed, two ops each.
+                        // `taken` fused pairs executed, two ops each; the
+                        // last one's exit fired.
                         stats.ops = at as u64 + extra + 2 * taken;
+                        let exit_id = exit_id + (taken as u32 - 1) * stride;
                         return (RegionOutcome::Exited { exit_id }, stats);
                     }
                     extra += 2 * reps - 1;
@@ -1211,6 +1222,7 @@ mod tests {
                     cmp: CmpOp::Ge,
                     cb: 2,
                     exit_id: 1,
+                    stride: 0,
                     n: 4,
                 },
                 FastOp::Exit { exit_id: 0 },
@@ -1488,95 +1500,102 @@ mod tests {
 
     /// The executor's rep fast path at every boundary, against the cycle
     /// simulator: a coalesced 6-rep run followed by a second fused pair
-    /// on a *different* induction register. Early-outs inside the run,
-    /// exactly at its end, and past it (falling through into the next
-    /// pair) must agree on outcome, registers and executed-op counts.
+    /// on a *different* induction register, with the copies sharing one
+    /// exit (stride 0) or, as unrolling emits them, exiting through
+    /// consecutive exits (stride 1). Early-outs inside the run, exactly
+    /// at its end, and past it (falling through into the next pair) must
+    /// agree on outcome, registers and executed-op counts.
     #[test]
     fn rep_boundary_early_outs_match_cycle_sim() {
-        let rep_pair = |_: usize| {
-            vec![
-                VliwOp::AluImm {
-                    op: AluOp::Add,
-                    rd: 1,
-                    ra: 1,
-                    imm: 1,
-                },
-                VliwOp::Exit {
-                    exit_id: 1,
-                    cond: Some(CondExit {
-                        op: CmpOp::Ge,
+        for stride in [0u32, 1] {
+            let rep_pair = |i: u32| {
+                vec![
+                    VliwOp::AluImm {
+                        op: AluOp::Add,
+                        rd: 1,
                         ra: 1,
-                        rb: 2,
-                    }),
-                },
-            ]
-        };
-        let program = VliwProgram {
-            bundles: (0..6)
-                .map(|i| Bundle { ops: rep_pair(i) })
-                .chain([
-                    // A second induction on r3 — cannot join the r1 run.
-                    Bundle {
-                        ops: vec![
-                            VliwOp::AluImm {
-                                op: AluOp::Add,
-                                rd: 3,
-                                ra: 3,
-                                imm: 1,
-                            },
-                            VliwOp::Exit {
-                                exit_id: 2,
-                                cond: Some(CondExit {
-                                    op: CmpOp::Ge,
-                                    ra: 3,
-                                    rb: 2,
-                                }),
-                            },
-                        ],
+                        imm: 1,
                     },
-                    Bundle {
-                        ops: vec![VliwOp::Exit {
-                            exit_id: 0,
-                            cond: None,
-                        }],
+                    VliwOp::Exit {
+                        exit_id: 1 + i * stride,
+                        cond: Some(CondExit {
+                            op: CmpOp::Ge,
+                            ra: 1,
+                            rb: 2,
+                        }),
                     },
-                ])
-                .collect(),
-            exits: exit_targets(3),
-        };
-        let prog = compile(&program).unwrap();
-        assert!(
-            prog.ops()
-                .iter()
-                .any(|o| matches!(o, FastOp::AluImmExitIfRep { n: 6, .. })),
-            "the six identical pairs must coalesce into one run"
-        );
-        // bound=1..=6: exit at each rep boundary of the run (exit 1).
-        // bound=7 with r3 starting at 6: the run completes, the r3 pair
-        // fires instead (exit 2). bound=1000: everything falls through
-        // to the unconditional exit 0.
-        for bound in [1i64, 2, 3, 4, 5, 6, 7, 1000] {
-            let ((vout, vstats, vstate, _), (fout, fstats, fstate, _)) =
-                run_both(&program, |regs, _| {
-                    regs[1] = 0;
-                    regs[2] = bound;
-                    regs[3] = 6;
-                });
-            assert_eq!(fout, vout, "bound={bound}: outcome");
-            assert_eq!(fstate.regs, vstate.regs, "bound={bound}: registers");
-            assert_eq!(fstats.ops, vstats.ops, "bound={bound}: op accounting");
-            let expect_exit = match bound {
-                1..=6 => 1,
-                7 => 2,
-                _ => 0,
+                ]
             };
-            assert_eq!(
-                fout,
-                RegionOutcome::Exited {
-                    exit_id: expect_exit
-                },
-                "bound={bound}: rep-boundary exit routing"
+            let second = 2 + 5 * stride;
+            let program = VliwProgram {
+                bundles: (0..6)
+                    .map(|i| Bundle { ops: rep_pair(i) })
+                    .chain([
+                        // A second induction on r3 — cannot join the r1
+                        // run.
+                        Bundle {
+                            ops: vec![
+                                VliwOp::AluImm {
+                                    op: AluOp::Add,
+                                    rd: 3,
+                                    ra: 3,
+                                    imm: 1,
+                                },
+                                VliwOp::Exit {
+                                    exit_id: second,
+                                    cond: Some(CondExit {
+                                        op: CmpOp::Ge,
+                                        ra: 3,
+                                        rb: 2,
+                                    }),
+                                },
+                            ],
+                        },
+                        Bundle {
+                            ops: vec![VliwOp::Exit {
+                                exit_id: 0,
+                                cond: None,
+                            }],
+                        },
+                    ])
+                    .collect(),
+                exits: exit_targets(second + 1),
+            };
+            let prog = compile(&program).unwrap();
+            assert!(
+                prog.ops()
+                    .iter()
+                    .any(|o| matches!(o, FastOp::AluImmExitIfRep { n: 6, .. })),
+                "stride {stride}: the six pairs must coalesce into one run"
             );
+            // bound=1..=6: exit at each rep boundary of the run. bound=7
+            // with r3 starting at 6: the run completes, the r3 pair fires
+            // instead. bound=1000: everything falls through to the
+            // unconditional exit 0.
+            for bound in [1i64, 2, 3, 4, 5, 6, 7, 1000] {
+                let ((vout, vstats, vstate, _), (fout, fstats, fstate, _)) =
+                    run_both(&program, |regs, _| {
+                        regs[1] = 0;
+                        regs[2] = bound;
+                        regs[3] = 6;
+                    });
+                let what = format!("stride {stride}, bound={bound}");
+                assert_eq!(fout, vout, "{what}: outcome");
+                assert_eq!(fstate.regs, vstate.regs, "{what}: registers");
+                assert_eq!(fstats.ops, vstats.ops, "{what}: op accounting");
+                let expect_exit = match bound {
+                    1..=6 => 1 + (bound as u32 - 1) * stride,
+                    7 => second,
+                    _ => 0,
+                };
+                assert_eq!(
+                    fout,
+                    RegionOutcome::Exited {
+                        exit_id: expect_exit
+                    },
+                    "{what}: rep-boundary exit routing"
+                );
+            }
         }
     }
 }

@@ -1,49 +1,51 @@
-//! The shared translation hub: one thread-safe translation service for
-//! many concurrently executing guests (ROADMAP open item 1).
+//! The translation hub: the one translation service of the runtime, shared
+//! by every guest attached to it.
 //!
-//! [`crate::DynOptSystem`] owns exactly one guest; N tenants through it
-//! mean N redundant translations of the same hot guest code. The
-//! [`TranslationHub`] factors the shareable half out:
+//! Every guest executes through a [`crate::GuestContext`] on a hub; a
+//! [`crate::DynOptSystem`] is one context on a private hub. The hub owns
+//! what guests share:
 //!
-//! * a **sharded flat translation cache** keyed by
-//!   ([`hash_program`], entry block) — lookups take one shard mutex,
-//!   and published entries are immutable [`RegionCode`]s behind `Arc`s,
-//!   so guests execute shared code without further synchronization;
+//! * a **sharded translation cache** keyed by ([`hash_program`], entry
+//!   block) — lookups take one shard mutex, and published entries are
+//!   immutable [`RegionCode`]s behind `Arc`s, so guests execute shared
+//!   code without further synchronization;
 //! * the **alias blacklist with a generation counter** — one speculation
 //!   failure anywhere teaches every guest, exactly the paper's argument
 //!   that the software-managed queue makes runtime feedback cheap enough
 //!   to centralize;
-//! * the **translation worker pool** (PR7's job/worker shape, promoted to
-//!   serve all guests) with **single-flight dedup**: the first requester
-//!   of a region claims an in-flight slot and every later requester
-//!   subscribes by simply re-probing at its next dispatch boundary.
+//! * the **translation jobs** with **single-flight dedup**: the first
+//!   requester of a region claims an in-flight slot and every later
+//!   requester subscribes by simply re-probing at its next dispatch
+//!   boundary. A job runs in one of three places: inline on the
+//!   requesting guest's thread (`workers = 0`), on the worker pool
+//!   (`workers > 0`), or — on a [`TranslationHub::stepped`] hub — when the
+//!   owner calls [`TranslationHub::step`], the deterministic race
+//!   harness's clock.
 //!
-//! Invalidation (deopt, blacklist growth, retranslation, abandonment)
-//! publishes through two monotone counters: `blacklist_gen` (bumped under
-//! the blacklist lock on every fresh pair) and `epoch` (bumped whenever a
-//! published slot is withdrawn). Guests check `epoch` at dispatch-step
-//! boundaries — the same publish discipline PR7 established for async
-//! translation — and drop local pins on regions the hub withdrew. Stale
-//! *executions* (a region optimized against an older blacklist) remain
-//! legal: the alias hardware still catches every true aliasing, and the
-//! hub counts them so the oracle layers can audit the window.
+//! A job snapshots the blacklist when it is queued; publication rejects a
+//! result whose snapshot generation trails the hub's and re-optimizes it
+//! against a fresh one. Invalidation (deopt, retranslation, abandonment)
+//! publishes through the `epoch` counter, bumped whenever a published
+//! slot is withdrawn. Guests check `epoch` at dispatch-step boundaries and
+//! drop pins on regions the hub withdrew. Stale *executions* (a region
+//! optimized against an older blacklist) remain legal: the alias hardware
+//! still catches every true aliasing, and guests count them.
 //!
 //! Lock order, everywhere: blacklist → rollback counts → shard → queue.
 
 use crate::region::RegionCode;
-use crate::translate_service::{
-    run_translation_job, FinishedTranslation, JobInput, JobKind, TranslationJob,
-};
 use crate::{ExecTier, SystemConfig};
+use smarq::range::RegState;
 use smarq::AllocScratch;
 use smarq_guest::{BlockId, Profile, Program};
-use smarq_ir::{FormationParams, OpOrigin};
-use smarq_opt::{AliasBlacklist, OptConfig};
-use smarq_vliw::MachineConfig;
+use smarq_ir::{form_superblock, unroll_superblock, FormationParams, OpOrigin, Superblock};
+use smarq_opt::{fastcomp, optimize_superblock_traced_ranged, AliasBlacklist, OptConfig};
+use smarq_vliw::{MachineConfig, RegionWriteMask};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
+use std::time::Instant;
 
 /// FNV-1a hash of the program's disassembly — the guest-code identity the
 /// hub keys translations by. Two guests running byte-identical code hash
@@ -59,10 +61,17 @@ pub fn hash_program(program: &Program) -> u64 {
     h
 }
 
+const POISONED: &str = "a translation panicked while holding a hub lock";
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().expect(POISONED)
+}
+
 /// Identity of a translated region in the hub's shared cache.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct RegionKey {
-    /// [`hash_program`] of the guest program.
+pub(crate) struct RegionKey {
+    /// [`hash_program`] of the guest program (any constant on a private
+    /// hub, which serves one program).
     pub program: u64,
     /// The region's entry block within that program.
     pub entry: BlockId,
@@ -72,7 +81,7 @@ pub struct RegionKey {
 /// across guests behind an `Arc`. Pointer identity doubles as version
 /// identity — a retranslation publishes a *new* `SharedRegion`, so
 /// `Arc::ptr_eq` tells a guest whether its pinned copy is still current.
-pub struct SharedRegion {
+pub(crate) struct SharedRegion {
     /// The cache key this region is published under.
     pub key: RegionKey,
     /// The guest program the region was formed from (kept so deopt-driven
@@ -94,7 +103,7 @@ enum Slot {
 }
 
 /// Result of probing (or requesting) a region from the hub.
-pub enum HubProbe {
+pub(crate) enum HubProbe {
     /// Published: pin the `Arc` and execute.
     Hit(Arc<SharedRegion>),
     /// A translation for this key is in flight (submitted by this call or
@@ -109,9 +118,9 @@ pub enum HubProbe {
 
 /// What a rollback report decided.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum RollbackVerdict {
+pub(crate) enum RollbackVerdict {
     /// The faulting pair was blacklisted and a conservative retranslation
-    /// is in flight; interpret until it publishes.
+    /// was published (inline hubs) or queued.
     Retranslating,
     /// Translation was abandoned for this key (blacklisting cannot
     /// converge, or the per-key rollback budget ran out).
@@ -137,10 +146,11 @@ pub struct HubConfig {
     pub hot_threshold: u64,
     /// Per-key rollbacks after which the key is abandoned.
     pub max_rollbacks_per_region: u64,
-    /// Statically verify every (re)translated region on the worker.
+    /// Statically verify every (re)translated region, keep its optimizer
+    /// trace, and chain-check every link guests memoize into it.
     pub verify_translations: bool,
-    /// Execution tier of the attached guests (decides whether workers
-    /// also lower regions for the fast-functional tier).
+    /// Execution tier of the attached guests (decides whether
+    /// translations also lower regions for the fast-functional tier).
     pub exec_tier: ExecTier,
     /// Worker threads. `0` runs every translation inline on the
     /// requesting guest's thread — fully deterministic under a
@@ -154,15 +164,11 @@ pub struct HubConfig {
     pub shards: u32,
 }
 
-impl Default for HubConfig {
-    fn default() -> Self {
-        Self::from_system(&SystemConfig::default())
-    }
-}
-
 impl HubConfig {
-    /// Derives a hub configuration from a single-guest [`SystemConfig`]
-    /// (the CLI path: one flag set configures either runtime).
+    /// Derives a hub configuration from a [`SystemConfig`] (one flag set
+    /// configures either runtime). Translation leaves the guests' threads
+    /// only when `async_translate` is on: `workers` is then
+    /// `translate_workers` (at least 1), and 0 otherwise.
     pub fn from_system(cfg: &SystemConfig) -> Self {
         HubConfig {
             machine: cfg.machine,
@@ -173,7 +179,11 @@ impl HubConfig {
             max_rollbacks_per_region: cfg.max_rollbacks_per_region,
             verify_translations: cfg.verify_translations,
             exec_tier: cfg.exec_tier,
-            workers: cfg.translate_workers,
+            workers: if cfg.async_translate {
+                cfg.translate_workers.max(1)
+            } else {
+                0
+            },
             queue_depth: cfg.translate_queue_depth,
             shards: 8,
         }
@@ -211,10 +221,10 @@ pub struct HubStats {
     /// Translations published into the shared cache (first translations
     /// and retranslations).
     pub translations_published: u64,
-    /// Conservative retranslations enqueued by rollback reports.
+    /// Conservative retranslations started by rollback reports.
     pub retranslations: u64,
-    /// Worker results discarded and recomputed because the blacklist
-    /// generation advanced while the job ran.
+    /// Results discarded and recomputed because the blacklist generation
+    /// advanced while the job was queued or running.
     pub gen_conflicts: u64,
     /// Finished results dropped because the slot was withdrawn (abandoned
     /// or raced) while the job was in flight.
@@ -232,7 +242,7 @@ pub struct HubStats {
     pub rollback_races: u64,
     /// Keys permanently abandoned.
     pub abandoned: u64,
-    /// Regions statically verified on workers (verify-on-emit mode).
+    /// Regions statically verified (verify-on-emit mode).
     pub regions_verified: u64,
     /// Error-severity verify findings (0 for a correct optimizer).
     pub verify_errors: u64,
@@ -248,21 +258,48 @@ pub struct HubStats {
     pub abandoned_keys: u64,
 }
 
-struct JobQueue {
-    jobs: VecDeque<HubJob>,
-    shutdown: bool,
+/// The translating thread's workspace: allocator scratch recycled across
+/// translations, plus the optimizer time they took on that thread.
+#[derive(Default)]
+pub(crate) struct Workspace {
+    scratch: AllocScratch,
+    /// Host ns of formation and optimization (the paper's Figure 18
+    /// overhead; verification and fast lowering excluded).
+    pub translate_ns: u64,
+    /// Of `translate_ns`, the ns spent in scheduling + allocation.
+    pub sched_ns: u64,
 }
 
-struct HubJob {
+/// Where a job's superblock comes from.
+enum JobInput {
+    /// Formed by the job from a profile snapshot (first translations).
+    Form(Profile),
+    /// Already formed (retranslations, and recomputes after a generation
+    /// conflict, reuse it).
+    Ready(Superblock),
+}
+
+/// One translation request (its [`JobInput`] travels next to it), with
+/// the blacklist snapshot it optimizes against.
+struct Job {
     key: RegionKey,
     program: Arc<Program>,
-    job: TranslationJob,
+    entry_state: Option<RegState>,
+    blacklist: Arc<AliasBlacklist>,
+    blacklist_gen: u64,
+}
+
+struct JobQueue {
+    jobs: VecDeque<(Job, JobInput)>,
+    shutdown: bool,
 }
 
 struct HubShared {
     cfg: HubConfig,
     shards: Box<[Mutex<HashMap<RegionKey, Slot>>]>,
-    blacklist: Mutex<AliasBlacklist>,
+    /// Copy-on-write: jobs hold `Arc` snapshots, and an insert clones the
+    /// set only while one is outstanding.
+    blacklist: Mutex<Arc<AliasBlacklist>>,
     /// Bumped under the blacklist lock on every fresh pair insert;
     /// read lock-free by guests for stale-execution accounting.
     blacklist_gen: AtomicU64,
@@ -288,118 +325,148 @@ impl HubShared {
 
     /// Builds a job against the *current* blacklist snapshot (generation
     /// read under the blacklist lock, so snapshot and counter agree).
-    fn fresh_job(&self, kind: JobKind, input: JobInput, program: Arc<Program>) -> TranslationJob {
-        let bl = self.blacklist.lock().unwrap();
-        let blacklist_gen = self.blacklist_gen.load(Ordering::SeqCst);
-        TranslationJob {
-            kind,
-            input,
+    fn job(&self, key: RegionKey, program: Arc<Program>, entry_state: Option<RegState>) -> Job {
+        let bl = lock(&self.blacklist);
+        Job {
+            key,
             program,
-            formation: self.cfg.formation,
-            unroll_factor: self.cfg.unroll_factor,
-            opt: self.cfg.opt.clone(),
-            machine: self.cfg.machine,
-            blacklist: bl.clone(),
-            blacklist_gen,
-            verify: self.cfg.verify_translations,
-            compile_fast: self.cfg.exec_tier == ExecTier::Functional,
-            // The hub serves many guest programs and caches no per-program
-            // dataflow; assuming ⊤ at entry is sound (the nospec taint
-            // just falls back to assume-the-worst precision).
-            entry_state: None,
+            entry_state,
+            blacklist: Arc::clone(&bl),
+            blacklist_gen: self.blacklist_gen.load(Ordering::SeqCst),
+        }
+    }
+
+    /// Runs `job` to publication, re-optimizing against fresh blacklist
+    /// snapshots for as long as the generation moves underneath it
+    /// (bounded: the blacklist only grows toward the finite set of
+    /// aliasing pairs).
+    fn run(&self, mut job: Job, mut input: JobInput, ws: &mut Workspace) {
+        loop {
+            let code = translate(&self.cfg, &job, input, ws);
+            let Err(sb) = self.install(job.key, &job.program, code) else {
+                return;
+            };
+            input = JobInput::Ready(sb);
+            job = self.job(job.key, job.program, job.entry_state);
         }
     }
 
     /// Publishes a finished translation into its claimed slot — or hands
-    /// the result back when the blacklist grew past the job's snapshot
-    /// (the caller re-optimizes against a fresh one, mirroring
-    /// `DynOptSystem`'s publish-reject-resubmit discipline). The
-    /// blacklist lock is held across the slot swap so a publish can never
-    /// interleave with a generation bump.
+    /// its superblock back for re-optimization when the blacklist grew
+    /// past the job's snapshot. The blacklist lock is held across the slot
+    /// swap so a publish can never interleave with a generation bump.
     fn install(
         &self,
         key: RegionKey,
         program: &Arc<Program>,
-        fin: FinishedTranslation,
-    ) -> Result<(), Box<FinishedTranslation>> {
-        let _bl = self.blacklist.lock().unwrap();
-        if fin.blacklist_gen != self.blacklist_gen.load(Ordering::SeqCst) {
+        code: RegionCode,
+    ) -> Result<(), Superblock> {
+        let _bl = lock(&self.blacklist);
+        if code.blacklist_gen != self.blacklist_gen.load(Ordering::SeqCst) {
             self.c.gen_conflicts.fetch_add(1, Ordering::SeqCst);
-            return Err(Box::new(fin));
+            return Err(code.sb);
         }
-        if fin.verified {
+        if code.trace.is_some() {
             self.c.regions_verified.fetch_add(1, Ordering::SeqCst);
-            let errors = fin
+            let errors = code
                 .diags
                 .iter()
                 .filter(|d| d.severity == smarq::Severity::Error)
                 .count() as u64;
             self.c.verify_errors.fetch_add(errors, Ordering::SeqCst);
         }
-        let mut shard = self.shard(key).lock().unwrap();
-        match shard.get(&key) {
-            Some(Slot::InFlight) => {
-                let region = Arc::new(SharedRegion {
-                    key,
-                    program: Arc::clone(program),
-                    code: RegionCode::from_finished(fin),
-                });
-                shard.insert(key, Slot::Published(region));
-                self.c.translations_published.fetch_add(1, Ordering::SeqCst);
-            }
+        let mut shard = lock(self.shard(key));
+        if let Some(Slot::InFlight) = shard.get(&key) {
+            let region = Arc::new(SharedRegion {
+                key,
+                program: Arc::clone(program),
+                code,
+            });
+            shard.insert(key, Slot::Published(region));
+            self.c.translations_published.fetch_add(1, Ordering::SeqCst);
+        } else {
             // Abandoned (or withdrawn and re-claimed by a racing path)
             // while the job was in flight: drop the result.
-            _ => {
-                self.c.publish_conflicts.fetch_add(1, Ordering::SeqCst);
-            }
+            self.c.publish_conflicts.fetch_add(1, Ordering::SeqCst);
         }
         Ok(())
     }
 
-    fn enqueue(&self, hj: HubJob, bounded: bool) -> bool {
-        let mut q = self.queue.lock().unwrap();
+    fn enqueue(&self, job: (Job, JobInput), bounded: bool) -> bool {
+        let mut q = lock(&self.queue);
         if bounded && q.jobs.len() >= self.cfg.queue_depth.max(1) as usize {
             return false;
         }
-        q.jobs.push_back(hj);
+        q.jobs.push_back(job);
         self.queue_cv.notify_one();
         true
     }
 }
 
-/// Runs one hub job to publication, recomputing against fresh blacklist
-/// snapshots for as long as the generation moves underneath it (bounded:
-/// the blacklist only grows toward the finite set of aliasing pairs).
-fn compute_and_install(inner: &HubShared, mut hj: HubJob, scratch: &mut AllocScratch) {
-    loop {
-        let fin = run_translation_job(hj.job, scratch);
-        match inner.install(hj.key, &hj.program, fin) {
-            Ok(()) => return,
-            Err(fin) => {
-                let kind = fin.kind;
-                let program = Arc::clone(&hj.program);
-                hj.job = inner.fresh_job(kind, JobInput::Ready(Box::new(fin.sb)), program);
-            }
+/// Translates one job: formation (unless the superblock rides along),
+/// optimization against the job's blacklist snapshot, then verification
+/// and fast lowering as configured.
+fn translate(cfg: &HubConfig, job: &Job, input: JobInput, ws: &mut Workspace) -> RegionCode {
+    let entry = job.key.entry;
+    let t0 = Instant::now();
+    let sb = match input {
+        JobInput::Ready(sb) => sb,
+        JobInput::Form(profile) => {
+            let sb = form_superblock(&job.program, &profile, entry, cfg.formation);
+            unroll_superblock(&sb, cfg.unroll_factor, cfg.formation.max_ops).0
         }
+    };
+    let (opt, trace) = optimize_superblock_traced_ranged(
+        &sb,
+        &cfg.opt,
+        &cfg.machine,
+        &job.blacklist,
+        &mut ws.scratch,
+        job.entry_state.as_ref(),
+    );
+    ws.translate_ns += t0.elapsed().as_nanos() as u64;
+    ws.sched_ns += opt.stats.sched_ns;
+    // Verify after the overhead clock stops: the paper's Figure 18
+    // overhead metric must not be polluted by an opt-in debug mode.
+    let (trace, diags) = if cfg.verify_translations {
+        let diags = smarq_verify::verify_trace(entry.index(), &trace, cfg.opt.num_alias_regs);
+        (Some(trace), diags)
+    } else {
+        (None, Vec::new())
+    };
+    let fast = (cfg.exec_tier == ExecTier::Functional)
+        .then(|| fastcomp::compile(&opt.vliw).expect("translated region is well formed"));
+    RegionCode {
+        write_mask: RegionWriteMask::of(&opt.vliw),
+        vliw: opt.vliw,
+        tag_origin: opt.tag_origin,
+        sb,
+        entry,
+        fast,
+        blacklist_gen: job.blacklist_gen,
+        opt_stats: opt.stats,
+        trace,
+        assumed_entry: job.entry_state,
+        diags,
     }
 }
 
 fn worker_loop(inner: &HubShared) {
-    let mut scratch = AllocScratch::new();
+    let mut ws = Workspace::default();
     loop {
-        let hj = {
-            let mut q = inner.queue.lock().unwrap();
+        let (job, input) = {
+            let mut q = lock(&inner.queue);
             loop {
-                if let Some(hj) = q.jobs.pop_front() {
-                    break hj;
+                if let Some(job) = q.jobs.pop_front() {
+                    break job;
                 }
                 if q.shutdown {
                     return;
                 }
-                q = inner.queue_cv.wait(q).unwrap();
+                q = inner.queue_cv.wait(q).expect(POISONED);
             }
         };
-        compute_and_install(inner, hj, &mut scratch);
+        inner.run(job, input, &mut ws);
     }
 }
 
@@ -407,21 +474,35 @@ fn worker_loop(inner: &HubShared) {
 pub struct TranslationHub {
     inner: Arc<HubShared>,
     workers: Vec<thread::JoinHandle<()>>,
+    stepped: bool,
 }
 
 impl TranslationHub {
     /// Creates a hub and spawns its worker pool (`cfg.workers` threads;
     /// `0` selects inline translation on the requesting guest's thread).
     pub fn new(cfg: HubConfig) -> Self {
+        Self::start(cfg, false)
+    }
+
+    /// Creates a *stepped* hub: no worker threads, and every translation
+    /// job waits in the queue until the caller runs one to publication
+    /// with [`Self::step`]. Guest progress and translation progress
+    /// become two clocks a test (or the seeded schedule of
+    /// [`crate::run_multi_interleaved`]) interleaves explicitly.
+    pub fn stepped(cfg: HubConfig) -> Self {
+        Self::start(cfg, true)
+    }
+
+    fn start(cfg: HubConfig, stepped: bool) -> Self {
         let shards = (0..cfg.shards.max(1))
             .map(|_| Mutex::new(HashMap::new()))
             .collect::<Vec<_>>()
             .into_boxed_slice();
-        let workers = cfg.workers;
+        let workers = if stepped { 0 } else { cfg.workers };
         let inner = Arc::new(HubShared {
             cfg,
             shards,
-            blacklist: Mutex::new(AliasBlacklist::new()),
+            blacklist: Mutex::new(Arc::new(AliasBlacklist::new())),
             blacklist_gen: AtomicU64::new(0),
             epoch: AtomicU64::new(0),
             rollback_counts: Mutex::new(HashMap::new()),
@@ -441,40 +522,57 @@ impl TranslationHub {
         TranslationHub {
             inner,
             workers: handles,
+            stepped,
         }
     }
 
     /// The hub's configuration (guests read their shared knobs here).
-    pub fn config(&self) -> &HubConfig {
+    pub(crate) fn config(&self) -> &HubConfig {
         &self.inner.cfg
     }
 
-    /// Whether translations run on background workers (`false` = inline
-    /// on the requesting guest's thread).
-    pub fn threaded(&self) -> bool {
-        !self.workers.is_empty()
+    /// Whether this is a [`Self::stepped`] hub.
+    pub(crate) fn is_stepped(&self) -> bool {
+        self.stepped
+    }
+
+    /// Whether translation jobs leave the requesting guest's thread
+    /// (worker pool or stepped queue).
+    pub(crate) fn queued(&self) -> bool {
+        self.stepped || !self.workers.is_empty()
     }
 
     /// Current blacklist generation (lock-free read).
-    pub fn blacklist_gen(&self) -> u64 {
+    pub(crate) fn blacklist_gen(&self) -> u64 {
         self.inner.blacklist_gen.load(Ordering::SeqCst)
     }
 
     /// Current invalidation epoch (lock-free read). Guests compare this
     /// at dispatch-step boundaries and revalidate their pinned regions
     /// when it moved.
-    pub fn epoch(&self) -> u64 {
+    pub(crate) fn epoch(&self) -> u64 {
         self.inner.epoch.load(Ordering::SeqCst)
     }
 
     /// A snapshot of the accumulated blacklist.
-    pub fn blacklist(&self) -> AliasBlacklist {
-        self.inner.blacklist.lock().unwrap().clone()
+    pub(crate) fn blacklist(&self) -> AliasBlacklist {
+        AliasBlacklist::clone(&lock(&self.inner.blacklist))
+    }
+
+    /// Runs one queued translation job to publication on the calling
+    /// thread; `false` when none is queued. This is the clock of a
+    /// [`Self::stepped`] hub.
+    pub fn step(&self) -> bool {
+        let Some((job, input)) = lock(&self.inner.queue).jobs.pop_front() else {
+            return false;
+        };
+        self.inner.run(job, input, &mut Workspace::default());
+        true
     }
 
     /// Read-only probe: never claims or submits.
-    pub fn probe(&self, key: RegionKey) -> HubProbe {
-        let shard = self.inner.shard(key).lock().unwrap();
+    pub(crate) fn probe(&self, key: RegionKey) -> HubProbe {
+        let shard = lock(self.inner.shard(key));
         match shard.get(&key) {
             Some(Slot::Published(r)) => HubProbe::Hit(Arc::clone(r)),
             Some(Slot::InFlight) => HubProbe::Pending,
@@ -486,18 +584,19 @@ impl TranslationHub {
     /// Requests the region for `key`, translating at most once across all
     /// guests (single-flight): the first requester claims the slot and
     /// submits; every concurrent requester observes `Pending` and simply
-    /// re-probes at a later dispatch boundary. With `workers = 0` the
-    /// translation runs inline and the call returns `Hit` directly.
-    pub fn request(
+    /// re-probes at a later dispatch boundary. An inline hub translates
+    /// on the spot and returns `Hit` directly.
+    pub(crate) fn request(
         &self,
         key: RegionKey,
         program: &Arc<Program>,
         profile: &Profile,
-        scratch: &mut AllocScratch,
+        entry_state: Option<RegState>,
+        ws: &mut Workspace,
     ) -> HubProbe {
         let inner = &*self.inner;
         {
-            let mut shard = inner.shard(key).lock().unwrap();
+            let mut shard = lock(inner.shard(key));
             match shard.get(&key) {
                 Some(Slot::Published(r)) => {
                     inner.c.probe_hits.fetch_add(1, Ordering::SeqCst);
@@ -514,38 +613,26 @@ impl TranslationHub {
             }
         }
         inner.c.translations_started.fetch_add(1, Ordering::SeqCst);
-        let job = inner.fresh_job(
-            JobKind::Translate { entry: key.entry },
-            JobInput::Form {
-                profile: profile.clone(),
-            },
-            Arc::clone(program),
-        );
-        let hj = HubJob {
-            key,
-            program: Arc::clone(program),
-            job,
-        };
-        if self.threaded() {
-            if inner.enqueue(hj, true) {
-                HubProbe::Pending
-            } else {
-                // Full queue: withdraw the claim so a later dispatch of
-                // the still-hot block retries, and un-count the start —
-                // nothing was translated for it.
-                let mut shard = inner.shard(key).lock().unwrap();
-                if matches!(shard.get(&key), Some(Slot::InFlight)) {
-                    shard.remove(&key);
-                }
-                drop(shard);
-                inner.c.translations_started.fetch_sub(1, Ordering::SeqCst);
-                inner.c.queue_full.fetch_add(1, Ordering::SeqCst);
-                HubProbe::Miss
-            }
-        } else {
-            compute_and_install(inner, hj, scratch);
-            self.probe(key)
+        let job = inner.job(key, Arc::clone(program), entry_state);
+        let input = JobInput::Form(profile.clone());
+        if !self.queued() {
+            inner.run(job, input, ws);
+            return self.probe(key);
         }
+        if inner.enqueue((job, input), true) {
+            return HubProbe::Pending;
+        }
+        // Full queue: withdraw the claim so a later dispatch of the
+        // still-hot block retries, and un-count the start — nothing was
+        // translated for it.
+        let mut shard = lock(inner.shard(key));
+        if matches!(shard.get(&key), Some(Slot::InFlight)) {
+            shard.remove(&key);
+        }
+        drop(shard);
+        inner.c.translations_started.fetch_sub(1, Ordering::SeqCst);
+        inner.c.queue_full.fetch_add(1, Ordering::SeqCst);
+        HubProbe::Miss
     }
 
     /// Reports an alias-exception rollback of `region`, blacklisting the
@@ -557,102 +644,79 @@ impl TranslationHub {
     /// the cure (code built against the grown blacklist) is exactly what
     /// the retranslation produces. The epoch bump tells every other guest
     /// to drop its pin at the next dispatch boundary.
-    pub fn report_rollback(
+    pub(crate) fn report_rollback(
         &self,
         region: &Arc<SharedRegion>,
         a: OpOrigin,
         b: OpOrigin,
-        scratch: &mut AllocScratch,
+        ws: &mut Workspace,
     ) -> RollbackVerdict {
         let inner = &*self.inner;
         inner.c.rollbacks.fetch_add(1, Ordering::SeqCst);
         let key = region.key;
-        let mut bl = inner.blacklist.lock().unwrap();
-        let fresh = bl.insert(a, b);
+        let mut bl = lock(&inner.blacklist);
+        let fresh = Arc::make_mut(&mut bl).insert(a, b);
         if fresh {
             inner.blacklist_gen.fetch_add(1, Ordering::SeqCst);
         }
         let gen = inner.blacklist_gen.load(Ordering::SeqCst);
         let over_budget = {
-            let mut rb = inner.rollback_counts.lock().unwrap();
+            let mut rb = lock(&inner.rollback_counts);
             let n = rb.entry(key).or_insert(0);
             *n += 1;
             *n > inner.cfg.max_rollbacks_per_region
         };
         let cannot_converge = !fresh && region.code.blacklist_gen == gen;
-        let mut shard = inner.shard(key).lock().unwrap();
+        let mut shard = lock(inner.shard(key));
         let verdict = match shard.get(&key) {
             Some(Slot::Published(cur)) if Arc::ptr_eq(cur, region) => {
+                inner.epoch.fetch_add(1, Ordering::SeqCst);
                 if over_budget || cannot_converge {
                     shard.insert(key, Slot::Abandoned);
                     inner.c.abandoned.fetch_add(1, Ordering::SeqCst);
-                    inner.epoch.fetch_add(1, Ordering::SeqCst);
                     RollbackVerdict::Abandoned
                 } else {
                     shard.insert(key, Slot::InFlight);
                     inner.c.retranslations.fetch_add(1, Ordering::SeqCst);
-                    inner.epoch.fetch_add(1, Ordering::SeqCst);
                     RollbackVerdict::Retranslating
                 }
             }
-            _ => RollbackVerdict::Raced,
+            _ => {
+                inner.c.rollback_races.fetch_add(1, Ordering::SeqCst);
+                RollbackVerdict::Raced
+            }
         };
         drop(shard);
-        if verdict == RollbackVerdict::Raced {
-            inner.c.rollback_races.fetch_add(1, Ordering::SeqCst);
-            return verdict;
-        }
+        drop(bl);
         if verdict == RollbackVerdict::Retranslating {
-            // Conservative retranslation against the just-grown snapshot
-            // (the blacklist lock is still held, so snapshot and
-            // generation agree); the region's superblock rides along, so
-            // only optimization re-runs.
-            let job = TranslationJob {
-                kind: JobKind::Translate { entry: key.entry },
-                input: JobInput::Ready(Box::new(region.code.sb.clone())),
-                program: Arc::clone(&region.program),
-                formation: inner.cfg.formation,
-                unroll_factor: inner.cfg.unroll_factor,
-                opt: inner.cfg.opt.clone(),
-                machine: inner.cfg.machine,
-                blacklist: bl.clone(),
-                blacklist_gen: gen,
-                verify: inner.cfg.verify_translations,
-                compile_fast: inner.cfg.exec_tier == ExecTier::Functional,
-                entry_state: None,
-            };
-            drop(bl);
-            let hj = HubJob {
-                key,
-                program: Arc::clone(&region.program),
-                job,
-            };
-            if self.threaded() {
+            // Conservative retranslation against the just-grown snapshot;
+            // the region's superblock rides along, so only optimization
+            // re-runs.
+            let job = inner.job(key, Arc::clone(&region.program), region.code.assumed_entry);
+            let input = JobInput::Ready(region.code.sb.clone());
+            if self.queued() {
                 // Unbounded: the slot is already withdrawn, so dropping
                 // the job would strand the key in flight forever.
-                inner.enqueue(hj, false);
+                inner.enqueue((job, input), false);
             } else {
-                compute_and_install(inner, hj, scratch);
+                inner.run(job, input, ws);
             }
         }
         verdict
     }
 
-    /// Spins until no translation is queued or in flight — the quiesce
-    /// point benches and tests use before reading final counters. Only
-    /// meaningful once guests stop submitting.
+    /// Runs every queued job on the calling thread, then waits until no
+    /// translation is in flight — the quiesce point benches and tests use
+    /// before reading final counters. Only meaningful once guests stop
+    /// submitting.
     pub fn drain(&self) {
-        loop {
-            let queued = !self.inner.queue.lock().unwrap().jobs.is_empty();
-            let inflight = self.inner.shards.iter().any(|s| {
-                s.lock()
-                    .unwrap()
-                    .values()
-                    .any(|v| matches!(v, Slot::InFlight))
-            });
-            if !queued && !inflight {
-                return;
-            }
+        while self.step() {}
+        while self
+            .inner
+            .shards
+            .iter()
+            .any(|s| lock(s).values().any(|v| matches!(v, Slot::InFlight)))
+        {
             thread::yield_now();
         }
     }
@@ -662,7 +726,7 @@ impl TranslationHub {
         let c = &self.inner.c;
         let (mut published, mut inflight, mut abandoned_keys) = (0u64, 0u64, 0u64);
         for s in self.inner.shards.iter() {
-            for slot in s.lock().unwrap().values() {
+            for slot in lock(s).values() {
                 match slot {
                     Slot::Published(_) => published += 1,
                     Slot::InFlight => inflight += 1,
@@ -696,7 +760,13 @@ impl TranslationHub {
 impl Drop for TranslationHub {
     fn drop(&mut self) {
         {
-            let mut q = self.inner.queue.lock().unwrap();
+            // Setting the flag leaves the queue valid even if a job
+            // panicked while holding its lock; Drop must not panic.
+            let mut q = self
+                .inner
+                .queue
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             q.shutdown = true;
             q.jobs.clear();
         }

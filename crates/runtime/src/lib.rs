@@ -6,6 +6,12 @@
 //! the simulated VLIW; alias exceptions roll the region back, blacklist
 //! the faulting pair, and re-optimize conservatively.
 //!
+//! There is one runtime engine: a [`GuestContext`] (a guest's state and
+//! the region-execution loop) attached to a [`TranslationHub`] (the
+//! translation cache, blacklist and translation jobs). Multi-guest runs
+//! attach many contexts to one hub ([`run_multi`]); [`DynOptSystem`] is a
+//! thin façade over one context on a private hub.
+//!
 //! ```
 //! use smarq_guest::{ProgramBuilder, Reg, CmpOp, AluOp};
 //! use smarq_runtime::{DynOptSystem, SystemConfig};
@@ -42,18 +48,9 @@ mod multi;
 mod region;
 mod stats;
 mod system;
-pub mod translate_service;
 
 pub use context::GuestContext;
-pub use hub::{
-    hash_program, HubConfig, HubProbe, HubStats, RegionKey, RollbackVerdict, SharedRegion,
-    TranslationHub,
-};
+pub use hub::{hash_program, HubConfig, HubStats, TranslationHub};
 pub use multi::{run_multi, run_multi_interleaved, DEFAULT_SLICE_STEPS};
-pub use region::RegionCode;
 pub use stats::{RegionRecord, SystemStats};
-pub use system::{DispatchMode, DynOptSystem, ExecTier, RunStatus, StopReason, SystemConfig};
-pub use translate_service::{
-    FinishedTranslation, JobInput, JobKind, StepExecutor, ThreadedExecutor, TranslationExecutor,
-    TranslationJob, TranslationService,
-};
+pub use system::{DynOptSystem, ExecTier, RunStatus, StopReason, SystemConfig};

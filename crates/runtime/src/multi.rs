@@ -9,11 +9,10 @@
 //!   runs on at most one thread at a time — each context's state needs no
 //!   internal locking — while the hub serves translations to all of them.
 //! * [`run_multi_interleaved`] — a single-threaded, seeded round-robin
-//!   double with the same observable semantics. With `hub.workers = 0`
-//!   (inline translation) the whole multi-guest run is deterministic, and
+//!   with the same observable semantics. On an inline hub
+//!   (`workers = 0`) or a stepped one the whole run is deterministic, and
 //!   the same seed replays the same schedule — the configuration the
-//!   multiguest fuzz oracle drives, mirroring PR7's seeded
-//!   race-interleaving harness.
+//!   fuzz oracles and the race harness drive.
 
 use crate::context::GuestContext;
 use crate::hub::TranslationHub;
@@ -97,10 +96,11 @@ pub fn run_multi(
 }
 
 /// Single-threaded seeded round-robin: each turn picks a live guest and a
-/// slice length from an xorshift64 stream, so the interleaving of guest
-/// progress (and, with `hub.workers = 0`, of translations) is a pure
-/// function of `seed`. Failures found under a seed replay from the seed
-/// alone, like PR7's `run_interleaved` schedules.
+/// slice length from an xorshift64 stream and, on a stepped hub, whether
+/// one queued translation job then runs to publication. The interleaving
+/// of guest progress and translations (with `hub.workers = 0` or a
+/// stepped hub) is a pure function of `seed`, so failures found under a
+/// seed replay from the seed alone.
 pub fn run_multi_interleaved(
     hub: &TranslationHub,
     guests: &mut [GuestContext],
@@ -115,6 +115,9 @@ pub fn run_multi_interleaved(
         let steps = 1 + xorshift64(&mut state) % 13;
         if guests[i].run_bounded(hub, steps, budget) != RunStatus::Running {
             live.swap_remove(pick);
+        }
+        if hub.is_stepped() && xorshift64(&mut state).is_multiple_of(2) {
+            hub.step();
         }
     }
 }

@@ -1,43 +1,41 @@
 //! Shared region primitives: the immutable translation artifact and the
 //! chain-dispatch bookkeeping types.
 //!
-//! Extracted from `system.rs` so that both the single-guest
-//! [`crate::DynOptSystem`] and the multi-guest hub/context split
-//! ([`crate::TranslationHub`] / [`crate::GuestContext`]) build on one
-//! definition of "a translated region" and one chain-link protocol. The
-//! hub publishes [`RegionCode`] values frozen behind an `Arc`; each guest
-//! keeps its *own* mutable chain links next to the shared code, so link
-//! memoization never crosses a thread boundary.
+//! The hub publishes [`RegionCode`] values frozen behind an `Arc`; each
+//! guest keeps its *own* mutable chain links next to the shared code, so
+//! link memoization never crosses a thread boundary.
 
-use crate::translate_service::FinishedTranslation;
+use smarq::range::RegState;
+use smarq::Diagnostic;
 use smarq_guest::BlockId;
-use smarq_ir::{IrOp, OpOrigin, Superblock};
+use smarq_ir::{OpOrigin, Superblock};
 use smarq_opt::fastcomp::FastProgram;
-use smarq_opt::OptStats;
+use smarq_opt::{OptStats, OptTrace};
 use smarq_vliw::{RegionWriteMask, VliwProgram};
 
-/// Sentinel for "no region cached for this block" in the flat cache.
+/// Sentinel for "no region record yet" in a guest's per-block table.
 pub(crate) const NO_REGION: u32 = u32::MAX;
 
 /// Memoized dispatch decision for one region exit.
 ///
 /// Link lifecycle: every exit starts `Unresolved`; the first time the
-/// running region leaves through it with the target block cached, the
-/// dispatcher memoizes `Region(n)` and subsequent executions follow the
-/// link without touching the translation cache. Retranslating or
-/// abandoning region `n` resets every `Region(n)` link (and the
-/// retranslated region's own outgoing links) back to `Unresolved`.
+/// running region leaves through it with a region pinned at the target
+/// block, the dispatcher memoizes `Region(target)` and subsequent
+/// executions follow the link without consulting the block table.
+/// Unpinning the region at block `n` (retranslation, abandonment,
+/// invalidation) resets every `Region(n)` link, and the unpinned region's
+/// own outgoing links, back to `Unresolved`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum ChainLink {
-    /// Not yet resolved, or invalidated: consult the translation cache.
+    /// Not yet resolved, or invalidated: consult the block table.
     Unresolved,
-    /// The exit target is the entry of cached region `n`: continue there
-    /// directly, guest state staying resident in the VLIW register file.
+    /// The exit target is block `n`, whose pinned region runs next with
+    /// guest state staying resident in the executor's register file.
     Region(u32),
 }
 
-/// Per-chain statistics accumulator: the chained dispatchers fold region
-/// execution stats in here (registers/locals on their hot loop) and flush
+/// Per-chain statistics accumulator: the dispatch loop folds region
+/// execution stats in here (registers/locals on its hot loop) and flushes
 /// the totals into [`crate::SystemStats`] once per chain.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct ChainAccum {
@@ -49,68 +47,51 @@ pub(crate) struct ChainAccum {
     pub follows: u64,
     pub lookups: u64,
     /// Entries into regions whose blacklist snapshot is older than the
-    /// system's (stale translations kept running while a fresher one is
-    /// produced in the background; async/hub modes only).
+    /// hub's (stale translations kept running while a fresher one is
+    /// produced).
     pub stale: u64,
 }
 
 /// The immutable product of one translation: everything a guest needs to
-/// *execute* a region, and everything the runtime needs to re-optimize or
-/// invalidate it. Frozen at install time; the hub shares one `RegionCode`
-/// across every guest behind an `Arc`, which is what makes the
-/// translate-once-run-anywhere economics of the multi-guest runtime work.
+/// *execute* a region, and everything the runtime needs to re-optimize,
+/// verify or invalidate it. The hub shares one `RegionCode` across every
+/// guest behind an `Arc`.
 #[derive(Debug)]
-pub struct RegionCode {
+pub(crate) struct RegionCode {
     /// The emitted VLIW code.
     pub vliw: VliwProgram,
     /// Memory-op tag (as reported in alias exceptions) → guest origin.
     pub tag_origin: Vec<OpOrigin>,
-    /// The formed superblock (retranslations re-optimize exactly this).
+    /// The formed superblock (retranslations re-optimize exactly this;
+    /// its exits record the guest instructions each one retires).
     pub sb: Superblock,
-    /// Guest instructions architecturally covered when leaving through
-    /// each exit (approximated by the exit op's position in the trace).
-    pub exit_instrs: Vec<u64>,
-    /// The region's entry block — the translation-cache key mapping here.
+    /// The region's entry block.
     pub entry: BlockId,
     /// Precomputed register write-set for masked checkpointing on the
     /// resident dispatch path.
     pub write_mask: RegionWriteMask,
-    /// Fast-functional lowering of `vliw`, compiled when the owning
-    /// runtime executes the functional tier; `None` on the cycle-sim tier.
+    /// Fast-functional lowering of `vliw` (functional tier only).
     pub fast: Option<FastProgram>,
     /// Blacklist generation this region was optimized against. Running a
-    /// region whose generation trails the runtime's is a *stale*
-    /// execution (legal — the alias hardware still catches every true
-    /// aliasing — but counted, because it is exactly the window
-    /// asynchronous publication opens).
+    /// region whose generation trails the hub's is a *stale* execution
+    /// (legal — the alias hardware still catches every true aliasing —
+    /// but counted).
     pub blacklist_gen: u64,
     /// Optimization statistics at emit time (per-region records).
     pub opt_stats: OptStats,
-}
-
-impl RegionCode {
-    /// Freezes a finished translation into the immutable artifact.
-    pub fn from_finished(fin: FinishedTranslation) -> Self {
-        let entry = fin.kind.entry();
-        let exit_instrs = exit_instr_counts(&fin.sb);
-        let write_mask = RegionWriteMask::of(&fin.opt.vliw);
-        RegionCode {
-            vliw: fin.opt.vliw,
-            tag_origin: fin.opt.tag_origin,
-            sb: fin.sb,
-            exit_instrs,
-            entry,
-            write_mask,
-            fast: fin.fast,
-            blacklist_gen: fin.blacklist_gen,
-            opt_stats: fin.opt.stats,
-        }
-    }
+    /// The optimizer's trace, kept under verify-on-emit only: link-time
+    /// chain checks re-derive their facts from it.
+    pub trace: Option<OptTrace>,
+    /// The abstract entry register state the optimizer's nospec taint
+    /// assumed (`None` = ⊤). The chain analyzer proves no chained
+    /// predecessor can deliver a state outside it.
+    pub assumed_entry: Option<RegState>,
+    /// Verify-on-emit findings (empty unless `trace` is kept).
+    pub diags: Vec<Diagnostic>,
 }
 
 /// Xorshift64 step — the seeded schedule generator of
-/// [`crate::DynOptSystem::run_interleaved`] and the multi-guest
-/// round-robin scheduler (state must be non-zero).
+/// [`crate::run_multi_interleaved`] (state must be non-zero).
 pub(crate) fn xorshift64(state: &mut u64) -> u64 {
     let mut x = *state;
     x ^= x << 13;
@@ -118,19 +99,4 @@ pub(crate) fn xorshift64(state: &mut u64) -> u64 {
     x ^= x << 17;
     *state = x;
     x
-}
-
-/// Guest instructions architecturally covered when leaving through each
-/// exit: the number of non-exit ops before the exit, plus the terminators
-/// represented by earlier exits.
-pub(crate) fn exit_instr_counts(sb: &Superblock) -> Vec<u64> {
-    let mut counts = vec![0u64; sb.exits.len()];
-    let mut executed = 0u64;
-    for op in &sb.ops {
-        executed += 1;
-        if let IrOp::Exit { exit_id, .. } = op {
-            counts[*exit_id as usize] = executed;
-        }
-    }
-    counts
 }

@@ -23,8 +23,8 @@ pub struct RegionRecord {
 pub struct SystemStats {
     /// Guest instructions executed by the interpreter.
     pub interp_instrs: u64,
-    /// Guest instructions covered by translated region executions
-    /// (approximated per exit point).
+    /// Guest instructions retired by translated region executions (each
+    /// exit records exactly what leaving through it retires).
     pub region_guest_instrs: u64,
     /// Simulated cycles spent in translated regions (incl. checkpoint and
     /// rollback penalties).
@@ -32,26 +32,28 @@ pub struct SystemStats {
     /// Simulated cycles attributed to interpretation
     /// (`interp_instrs × interp_cycles_per_instr`).
     pub interp_cycles: u64,
-    /// Host nanoseconds spent translating/optimizing (the paper's
-    /// Figure 18 overhead, measured around the optimizer like the paper's
-    /// marker symbols).
+    /// Host nanoseconds this guest's thread spent forming and optimizing
+    /// regions (the paper's Figure 18 overhead, measured around the
+    /// optimizer like the paper's marker symbols; verification and fast
+    /// lowering excluded, and 0 when translation runs off-thread).
     pub translation_ns: u64,
     /// Host nanoseconds of that spent inside scheduling + allocation.
     pub scheduling_ns: u64,
-    /// Regions formed.
+    /// Regions formed (one per entry block; a retranslation updates its
+    /// block's record instead).
     pub regions_formed: usize,
     /// Total region entries.
     pub region_entries: u64,
-    /// Translation-cache probes made by the dispatcher (per interpreted
-    /// block, plus one per unresolved region exit). Chained dispatch
+    /// Block-table probes made by the dispatcher (per dispatch step,
+    /// plus one per unresolved region exit). Chained dispatch
     /// drives this toward zero in steady state — followed links never
     /// consult the cache.
     pub dispatch_lookups: u64,
     /// Region→region transitions taken through a memoized chain link
     /// without re-entering the dispatcher.
     pub chain_follows: u64,
-    /// Chain links invalidated because their target region was
-    /// retranslated or abandoned.
+    /// Chain links invalidated because their source or target region was
+    /// unpinned (retranslated, abandoned or withdrawn by the hub).
     pub chain_unlinks: u64,
     /// Total rollbacks.
     pub rollbacks: u64,
@@ -97,32 +99,11 @@ pub struct SystemStats {
     /// `vliw_cycles`: sampled runs are oracle work, not modeled guest
     /// time.
     pub tier_sampled_cycles: u64,
-    /// Translation jobs enqueued on the background service (async mode).
-    pub async_enqueued: u64,
-    /// Finished translations atomically published into the translation
-    /// cache at a dispatch boundary.
-    pub async_published: u64,
-    /// Finished translations rejected at publish because the world moved
-    /// while they were in flight: the entry was abandoned, its slot was
-    /// already taken, or the blacklist generation advanced (those are
-    /// resubmitted against the fresh snapshot).
-    pub async_publish_conflicts: u64,
-    /// Submissions dropped because the bounded job queue was full (the
-    /// block stays hot, so the next dispatch retries).
-    pub async_queue_full: u64,
-    /// Peak number of jobs in flight at once.
-    pub async_queue_peak: u64,
-    /// Region entries under a blacklist generation older than the
-    /// system's — executions of *stale* translations, the window async
-    /// publication opens while a fresher translation is produced.
+    /// Region entries under a blacklist generation older than the hub's —
+    /// executions of *stale* translations, optimized before a later
+    /// rollback grew the blacklist (legal: the alias hardware still
+    /// catches every true aliasing).
     pub async_stale_entries: u64,
-    /// Host nanoseconds translation workers spent producing regions — off
-    /// the guest's critical path (compare `translation_ns`, which is the
-    /// inline path's on-critical-path cost and stays 0 in async mode).
-    pub async_worker_ns: u64,
-    /// Host nanoseconds of translation bookkeeping left *on* the critical
-    /// path in async mode: job submission plus atomic publication.
-    pub async_stall_ns: u64,
     /// Per-region records.
     pub per_region: Vec<RegionRecord>,
 }
@@ -174,15 +155,6 @@ impl SystemStats {
         } else {
             self.alias_entries_scanned as f64 / self.region_mem_ops as f64
         }
-    }
-
-    /// Translation-stall cycles the async pipeline removed from the
-    /// guest's critical path, modeling the simulated core at 1 GHz
-    /// (1 cycle = 1 ns, like [`Self::optimization_overhead`]): worker
-    /// time that would have stalled the guest inline, minus the
-    /// submit/publish bookkeeping the async path still pays.
-    pub fn stall_cycles_avoided(&self) -> u64 {
-        self.async_worker_ns.saturating_sub(self.async_stall_ns)
     }
 
     /// Average memory operations per formed superblock (Figure 14).
@@ -335,52 +307,38 @@ mod tests {
         }
     }
 
-    /// Batching `sync_interp_stats` off the per-block dispatch path must
-    /// not change any guest-instruction accounting: the naive (per-block
-    /// sync) and chained (boundary sync) dispatchers report identical
-    /// totals, and the synced counter always equals the interpreter's own
-    /// counter at every observable stop point.
+    /// Batched stat syncing must not change any guest-instruction
+    /// accounting: the total equals the interpreter reference exactly,
+    /// and the synced counter equals the interpreter's own counter at
+    /// every observable stop point.
     #[test]
     fn batched_stat_sync_preserves_guest_instr_totals() {
-        use crate::DispatchMode;
         for p in [counted_loop(300), aliasing_loop(300)] {
-            let mk = |mode: DispatchMode| {
-                let mut cfg = SystemConfig {
-                    hot_threshold: 10,
-                    ..SystemConfig::default()
-                };
-                cfg.dispatch = mode;
-                let mut sys = DynOptSystem::new(p.clone(), cfg);
-                assert_eq!(sys.run_to_completion(u64::MAX), StopReason::Halted);
-                sys
+            let mut reference = smarq_guest::Interpreter::new();
+            reference.run(&p, u64::MAX);
+            let cfg = SystemConfig {
+                hot_threshold: 10,
+                ..SystemConfig::default()
             };
-            let naive = mk(DispatchMode::Naive);
-            let chained = mk(DispatchMode::Chained);
+            let mut sys = DynOptSystem::new(p, cfg);
+            assert_eq!(sys.run_to_completion(u64::MAX), StopReason::Halted);
             assert_eq!(
-                naive.stats().guest_instrs(),
-                chained.stats().guest_instrs(),
-                "total guest instructions are dispatch-invariant"
+                sys.stats().guest_instrs(),
+                reference.executed_instrs(),
+                "total guest instructions equal the interpreter's"
             );
             assert_eq!(
-                naive.stats().interp_instrs,
-                chained.stats().interp_instrs,
-                "interpreted share is dispatch-invariant"
+                sys.stats().interp_instrs,
+                sys.interp().executed_instrs(),
+                "the synced counter matches the interpreter at stop"
             );
-            for sys in [&naive, &chained] {
-                assert_eq!(
-                    sys.stats().interp_instrs,
-                    sys.interp().executed_instrs(),
-                    "the synced counter matches the interpreter at stop"
-                );
-            }
         }
 
         // Budget-exhausted stops are boundary syncs too.
-        let mut cfg = SystemConfig {
+        let cfg = SystemConfig {
             hot_threshold: 10,
             ..SystemConfig::default()
         };
-        cfg.dispatch = DispatchMode::Chained;
         let mut sys = DynOptSystem::new(counted_loop(1_000_000), cfg);
         assert_eq!(sys.run_to_completion(20_000), StopReason::BudgetExhausted);
         assert!(sys.stats().guest_instrs() >= 20_000);

@@ -1,16 +1,15 @@
-//! Deterministic schedule-exploration harness for the async translation
-//! pipeline.
+//! Deterministic schedule-exploration harness for asynchronous
+//! translation.
 //!
-//! Every test drives a [`DynOptSystem`] whose translations run on a
-//! manually stepped [`StepExecutor`]: a job only advances through
-//! *queued → computed → released → published* when the driver says so,
-//! and publication itself happens at the next dispatch-step boundary of
-//! [`DynOptSystem::run_bounded`]. Guest progress and pipeline progress
-//! are therefore two independent clocks the tests interleave explicitly —
-//! either by systematically sweeping a publish delay, by scripting one
-//! exact schedule, or by seeding [`DynOptSystem::run_interleaved`]'s
-//! xorshift schedule (replayable from the seed alone, like fuzz corpus
-//! entries).
+//! Every test drives a [`DynOptSystem::stepped`] system: its private hub
+//! queues every translation job until the test runs one to publication
+//! ([`DynOptSystem::translation_step`]), and the guest picks a published
+//! region up at a later dispatch of its entry block. Guest progress and
+//! translation progress are therefore two independent clocks the tests
+//! interleave explicitly — either by systematically sweeping a publish
+//! delay, by scripting one exact schedule, or by seeding
+//! [`DynOptSystem::run_interleaved`]'s xorshift schedule (replayable from
+//! the seed alone, like fuzz corpus entries).
 //!
 //! Covered race shapes:
 //! 1. **install vs chained execution** — a finished region publishes at
@@ -18,14 +17,15 @@
 //!    the affected blocks ([`install_races_chained_execution`]);
 //! 2. **deopt vs in-flight retranslation** — the blacklist grows after a
 //!    job snapshotted it, forcing a publish-time generation conflict and
-//!    resubmission ([`deopt_races_inflight_retranslation`]);
+//!    re-optimization ([`deopt_races_inflight_retranslation`]);
 //! 3. **invalidate vs stale run** — a region keeps executing under an
 //!    outdated blacklist while the deopt-triggered invalidation and
 //!    republish of another region are held in flight
 //!    ([`stale_regions_run_while_invalidation_in_flight`]);
 //!
 //! plus the satellite concurrency tests: chain-unlink racing resident
-//! region execution, and double-publish of the same block index.
+//! region execution, and repeated requests for a block whose
+//! translation is in flight.
 //!
 //! The key program shape is [`two_loop`] with `flip_at = Some(k)`: two
 //! hot inner loops whose load/store pairs are clean until outer
@@ -34,9 +34,9 @@
 //! region graph with translations in flight, which is exactly the
 //! window the races live in.
 
-use smarq_guest::{AluOp, ArchState, BlockId, CmpOp, Interpreter, Program, ProgramBuilder, Reg};
+use smarq_guest::{AluOp, ArchState, CmpOp, Interpreter, Program, ProgramBuilder, Reg};
 use smarq_opt::OptConfig;
-use smarq_runtime::{DynOptSystem, RunStatus, StepExecutor, StopReason, SystemConfig};
+use smarq_runtime::{DynOptSystem, RunStatus, StopReason, SystemConfig};
 
 // ---------------------------------------------------------------- helpers
 
@@ -46,21 +46,36 @@ fn reference_state(p: &Program) -> ArchState {
     i.arch_state()
 }
 
-/// Async config over a manually stepped executor with the given queue
-/// depth; `hot_threshold` is lowered so short programs exercise the
-/// pipeline.
-fn stepped_system(p: &Program, depth: usize) -> DynOptSystem {
+/// A stepped system with the given queue depth; `hot_threshold` is
+/// lowered so short programs exercise the pipeline.
+fn stepped_system(p: &Program, depth: u32) -> DynOptSystem {
     let mut cfg = SystemConfig::with_opt(OptConfig::smarq(64));
     cfg.hot_threshold = 20;
-    cfg.translate_queue_depth = depth as u32;
-    DynOptSystem::with_executor(p.clone(), cfg, Box::new(StepExecutor::manual(depth)))
+    cfg.translate_queue_depth = depth;
+    DynOptSystem::stepped(p.clone(), cfg)
 }
 
-/// Advances every in-flight job to released (publication still waits for
-/// the next dispatch boundary).
+/// Runs every queued job to publication.
 fn pump_all(sys: &mut DynOptSystem) {
-    while sys.translation_compute_one() {}
-    while sys.translation_release_one() {}
+    while sys.translation_step() {}
+}
+
+/// Translations queued or running.
+fn in_flight(sys: &DynOptSystem) -> u64 {
+    sys.hub_stats().inflight_keys
+}
+
+/// Drains the hub and checks its publish ledger: every started
+/// translation or retranslation was published or dropped as a conflict.
+fn assert_ledger_balanced(sys: &DynOptSystem) {
+    sys.translation_drain();
+    let h = sys.hub_stats();
+    assert_eq!(h.inflight_keys, 0, "{h:?}");
+    assert_eq!(
+        h.translations_started + h.retranslations,
+        h.translations_published + h.publish_conflicts,
+        "{h:?}"
+    );
 }
 
 /// Runs to halt, completing each translation exactly `delay` dispatch
@@ -71,7 +86,7 @@ fn run_with_publish_delay(sys: &mut DynOptSystem, delay: u64) {
         if sys.run_bounded(1, u64::MAX) == RunStatus::Halted {
             return;
         }
-        if sys.translation_outstanding() > 0 {
+        if in_flight(sys) > 0 {
             let w = wait.get_or_insert(delay);
             if *w == 0 {
                 pump_all(sys);
@@ -215,11 +230,12 @@ fn install_races_chained_execution() {
                 assert!(s.regions_formed >= 1, "prompt publish must install");
                 assert!(s.region_entries > 0, "installed regions must run");
             }
-            assert_eq!(
-                s.async_published,
-                s.regions_formed as u64 + s.retranslations as u64,
-                "delay {delay}: every publish installed exactly one region"
+            assert!(
+                sys.hub_stats().translations_published
+                    >= s.regions_formed as u64 + s.retranslations as u64,
+                "delay {delay}: every pinned region was published"
             );
+            assert_ledger_balanced(&sys);
         }
     }
 }
@@ -231,7 +247,7 @@ fn install_races_chained_execution() {
 /// and chained. The first fault bumps the blacklist generation and
 /// queues a retranslation; the second fault bumps the generation again
 /// *while that job is still in flight*. Its snapshot is now stale: at
-/// publish it must be rejected as a conflict and resubmitted against
+/// publish it must be rejected as a conflict and re-optimized against
 /// the fresh blacklist — and the final state must stay exact, with
 /// blacklisting still converging.
 #[test]
@@ -260,18 +276,14 @@ fn deopt_races_inflight_retranslation() {
             "program ended before both regions faulted"
         );
     }
-    assert!(
-        sys.translation_outstanding() >= 2,
-        "both retranslates in flight"
-    );
-    // Phase 3: release everything. The first retranslation was optimized
-    // against the pre-second-fault blacklist generation: publishing it
-    // must conflict and resubmit rather than install stale speculation.
+    assert!(in_flight(&sys) >= 2, "both retranslates in flight");
+    // Phase 3: release everything. The first retranslation snapshotted
+    // the pre-second-fault blacklist generation: publishing it must
+    // conflict and re-optimize rather than install stale speculation.
+    let before = sys.hub_stats().gen_conflicts;
     pump_all(&mut sys);
-    let before = sys.stats().async_publish_conflicts;
-    assert_ne!(sys.run_bounded(1, u64::MAX), RunStatus::Halted);
     assert!(
-        sys.stats().async_publish_conflicts > before,
+        sys.hub_stats().gen_conflicts > before,
         "stale-generation publish must be rejected"
     );
     // Phase 4: run out normally with prompt publishes.
@@ -280,7 +292,7 @@ fn deopt_races_inflight_retranslation() {
     let s = sys.stats();
     assert!(
         s.retranslations >= 2,
-        "both resubmitted retranslates landed"
+        "both re-optimized retranslates landed"
     );
     assert!(s.rollbacks >= 2);
     for r in &s.per_region {
@@ -291,7 +303,7 @@ fn deopt_races_inflight_retranslation() {
 // ---------------------------------------------------- race shape 3 -----
 
 /// Stale-region execution after invalidation: only L1 flips to aliasing
-/// (iteration 40). When it faults, it is unpublished and its
+/// (iteration 40). When it faults, it is withdrawn and its
 /// conservative retranslation is *held* in the pipeline — while clean
 /// region L2, optimized under the now-outdated blacklist generation,
 /// keeps executing. Those stale entries are legal (the alias hardware
@@ -362,39 +374,49 @@ fn unlink_races_resident_chained_execution() {
 
 // --------------------------------------- satellite: double publish -----
 
-/// Double-publish of the same block index: two independent translation
-/// jobs for the same entry block are forced in flight (the second via
-/// the debug hook that bypasses pending-job dedup). The first result to
-/// publish installs the region; the second must be rejected as a publish
-/// conflict, not installed as a duplicate.
+/// Double publish of the same block is impossible by construction: while
+/// the block's translation waits in the queue, every later dispatch of
+/// the still-hot block requests it again, and each of those requests
+/// subscribes to the in-flight job (counted in `single_flight_hits`)
+/// instead of queueing a second one. The block publishes exactly once.
 #[test]
 fn double_publish_of_same_block_is_rejected() {
     let p = plain_loop(400);
     let expected = reference_state(&p);
     let mut sys = stepped_system(&p, 8);
-    // Run until the hot trigger submits the natural job.
+    // Run until the hot trigger queues the block's job.
     let mut guard = 0;
-    while sys.translation_outstanding() == 0 {
+    while in_flight(&sys) == 0 {
         assert_ne!(sys.run_bounded(1, u64::MAX), RunStatus::Halted, "too cold");
         guard += 1;
         assert!(guard < 100_000);
     }
-    // Force a duplicate job for the same hot entry block.
-    sys.debug_submit_translate(BlockId(1));
-    assert_eq!(sys.translation_outstanding(), 2);
+    // Hold the job: the guest keeps interpreting the hot block.
+    for _ in 0..10 {
+        assert_ne!(sys.run_bounded(1, u64::MAX), RunStatus::Halted);
+    }
+    let h = sys.hub_stats();
+    assert!(
+        h.single_flight_hits >= 10,
+        "every re-request subscribed: {h:?}"
+    );
+    assert_eq!(h.translations_started, 1, "one job for the block");
     pump_all(&mut sys);
-    assert_ne!(sys.run_bounded(1, u64::MAX), RunStatus::Halted);
-    let s = sys.stats();
-    assert_eq!(s.regions_formed, 1, "exactly one install for the block");
-    assert_eq!(s.async_publish_conflicts, 1, "the duplicate was rejected");
     run_with_publish_delay(&mut sys, 0);
     assert_eq!(sys.interp().arch_state(), expected);
+    assert_eq!(
+        sys.stats().regions_formed,
+        1,
+        "exactly one install for the block"
+    );
+    assert_eq!(sys.hub_stats().translations_published, 1, "published once");
+    assert_ledger_balanced(&sys);
 }
 
 // ------------------------------------------------ seeded schedules -----
 
 /// Seeded random schedule sweep: `run_interleaved` permutes guest steps
-/// against pipeline compute/release steps from a xorshift schedule. All
+/// against translation steps from a xorshift schedule. All
 /// seeds must be bit-exact; across the sweep the interesting pipeline
 /// events must actually occur (publishes, faults, retranslations).
 #[test]
@@ -423,7 +445,7 @@ fn seeded_schedule_sweep_is_bit_exact() {
                 "{name}: seed {seed:#x} diverged"
             );
             let s = sys.stats();
-            published += s.async_published;
+            published += sys.hub_stats().translations_published;
             rollbacks += s.rollbacks;
             retranslations += s.retranslations;
         }
@@ -449,9 +471,9 @@ fn schedules_replay_exactly_from_their_seed() {
             sys.interp().arch_state(),
             s.interp_instrs,
             s.region_entries,
-            s.async_enqueued,
-            s.async_published,
-            s.async_publish_conflicts,
+            sys.hub_stats().translations_started,
+            sys.hub_stats().translations_published,
+            sys.hub_stats().gen_conflicts,
             s.async_stale_entries,
             s.rollbacks,
             s.chain_unlinks,
@@ -484,9 +506,9 @@ fn depth_one_queue_backpressure_is_counted_and_exact() {
         let mut sys = stepped_system(&p, 1);
         assert_eq!(sys.run_interleaved(seed, u64::MAX), StopReason::Halted);
         assert_eq!(sys.interp().arch_state(), expected, "seed {seed} diverged");
-        let s = sys.stats();
-        saw_full |= s.async_queue_full > 0;
-        assert!(s.async_queue_peak >= 1, "something was enqueued");
+        let h = sys.hub_stats();
+        saw_full |= h.queue_full > 0;
+        assert!(h.translations_started >= 1, "something was enqueued");
     }
     assert!(
         saw_full,

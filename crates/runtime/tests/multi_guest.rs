@@ -1,8 +1,8 @@
 //! Multi-guest runtime tests: the hub/context split, single-flight
 //! translation dedup, cross-guest blacklist/invalidation, and real
-//! multi-threaded stress over both the shared [`TranslationHub`] pool and
-//! PR7's [`ThreadedExecutor`] (N workers × M guests × corpus programs,
-//! bounded queue depth 1 and 8).
+//! multi-threaded stress over both a shared [`TranslationHub`] pool and
+//! concurrent single-guest systems on threaded private hubs (N workers ×
+//! M guests × corpus programs, bounded queue depth 1 and 8).
 //!
 //! The load-bearing assertions:
 //! * every guest's architectural state is bit-exact vs. the same program
@@ -267,6 +267,12 @@ fn cross_guest_blacklist_and_invalidation() {
     smarq_runtime::run_multi_interleaved(&hub, &mut guests, 0xa11a_5eed, u64::MAX);
     for g in &guests {
         assert_eq!(g.interp().arch_state(), expected, "guest {}", g.id());
+        // One record per region entry: re-pinning a retranslation
+        // updates the record instead of adding one.
+        let gs = g.stats();
+        assert_eq!(gs.regions_formed, 1, "guest {}", g.id());
+        assert_eq!(gs.per_region.len(), 1, "guest {}", g.id());
+        assert_eq!(gs.retranslations, gs.per_region[0].retranslations as usize);
     }
     let s = hub.stats();
     assert!(s.rollbacks >= 1, "speculation must have faulted");
@@ -373,12 +379,12 @@ fn multiguest_budgeted_runs_stop_and_resume() {
     }
 }
 
-// ----------------------------------- stress: PR7 ThreadedExecutor proper
+// ------------------------------ stress: threaded private hubs in parallel
 
 #[test]
 fn threaded_executor_stress_bit_exact_and_publish_ledger() {
     // M concurrent single-guest systems, each with its own N-worker
-    // ThreadedExecutor pool, over the corpus at queue depth 1 and 8.
+    // private hub, over the corpus at queue depth 1 and 8.
     let corpus: Vec<Program> = vec![
         accumulating_loop(600),
         two_phase_program(400),
@@ -400,20 +406,17 @@ fn threaded_executor_stress_bit_exact_and_publish_ledger() {
                         let mut sys = DynOptSystem::new(p, cfg);
                         sys.run_to_completion(u64::MAX);
                         sys.translation_drain();
-                        let state = sys.interp().arch_state();
-                        let st = sys.stats().clone();
-                        let outstanding = sys.translation_outstanding();
-                        (state, st, outstanding)
+                        (sys.interp().arch_state(), sys.hub_stats())
                     })
                 })
                 .collect();
             for (i, h) in handles.into_iter().enumerate() {
-                let (state, st, outstanding) = h.join().expect("guest thread");
+                let (state, st) = h.join().expect("guest thread");
                 assert_eq!(state, expected[i % corpus.len()], "guest {i} depth {depth}");
-                assert_eq!(outstanding, 0, "drained pipeline");
+                assert_eq!(st.inflight_keys, 0, "drained pipeline");
                 assert_eq!(
-                    st.async_enqueued,
-                    st.async_published + st.async_publish_conflicts,
+                    st.translations_started + st.retranslations,
+                    st.translations_published + st.publish_conflicts,
                     "publish ledger balances for guest {i} depth {depth}"
                 );
             }

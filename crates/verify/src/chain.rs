@@ -511,6 +511,7 @@ mod tests {
             ops,
             exits: vec![IrExit {
                 target: Some(BlockId(1)),
+                guest_instrs: 1,
             }],
             entry: BlockId(1),
             trace: vec![BlockId(1)],

@@ -4,7 +4,7 @@
 //! ```text
 //! smarq-run FILE.s [--hw smarq|smarq16|efficeon|alat|none]
 //!                  [--regs N] [--unroll N] [--budget N]
-//!                  [--dispatch naive|chained] [--exec-tier cycle|functional]
+//!                  [--exec-tier cycle|functional]
 //!                  [--async-translate] [--translate-workers N]
 //!                  [--translate-queue N] [--guests N] [--threads M]
 //!                  [--dump-region] [--compare] [--verify]
@@ -27,27 +27,25 @@
 //! chain analyzer proves none was.
 //! `--exec-tier functional` runs optimized regions on the fast functional
 //! tier with sampled cycle-sim tier-down checks (also via
-//! `SMARQ_EXEC_TIER=functional`); `--dispatch naive` disables region
-//! chaining. `--async-translate` moves region formation, optimization and
-//! verification onto background worker threads (also via
-//! `SMARQ_ASYNC_TRANSLATE=1`): the guest keeps interpreting while
-//! translations are in flight and finished regions publish atomically at
-//! dispatch-step boundaries. `--translate-workers N` sizes the pool
-//! (`0` = a deterministic in-thread stepper) and `--translate-queue N`
-//! bounds the job queue.
+//! `SMARQ_EXEC_TIER=functional`). `--async-translate` moves region
+//! formation, optimization and verification onto background worker
+//! threads (also via `SMARQ_ASYNC_TRANSLATE=1`): the guest keeps
+//! interpreting while translations are in flight and picks finished
+//! regions up at dispatch-step boundaries. `--translate-workers N` sizes
+//! that pool (at least 1; ignored without `--async-translate`) and
+//! `--translate-queue N` bounds the job queue.
 //!
-//! `--guests N` (N >= 2) switches to the multi-guest runtime: N tenants
-//! of the same program run over one shared `TranslationHub` (sharded
-//! translation cache, single-flight dedup, shared blacklist), scheduled
-//! on `--threads M` host threads. `--translate-workers` then sizes the
-//! hub's background pool (`0` = translate inline in the requesting
-//! guest) and `--compare` checks every guest bit-exactly against pure
-//! interpretation.
+//! `--guests N` (N >= 2) runs N tenants of the same program over one
+//! shared `TranslationHub` (sharded translation cache, single-flight
+//! dedup, shared blacklist), scheduled on `--threads M` host threads;
+//! a single guest runs on a private hub. The translation flags mean the
+//! same on both paths, and `--compare` checks every guest bit-exactly
+//! against pure interpretation.
 
 use smarq_opt::OptConfig;
 use smarq_runtime::{
-    run_multi, DispatchMode, DynOptSystem, ExecTier, GuestContext, HubConfig, SystemConfig,
-    TranslationHub, DEFAULT_SLICE_STEPS,
+    run_multi, DynOptSystem, ExecTier, GuestContext, HubConfig, SystemConfig, TranslationHub,
+    DEFAULT_SLICE_STEPS,
 };
 use std::process::ExitCode;
 
@@ -57,7 +55,6 @@ struct Args {
     regs: u32,
     unroll: u32,
     budget: u64,
-    dispatch: Option<DispatchMode>,
     exec_tier: Option<ExecTier>,
     async_translate: bool,
     translate_workers: Option<u32>,
@@ -73,7 +70,7 @@ struct Args {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: smarq-run FILE.s [--hw smarq|smarq16|efficeon|alat|none] \
-         [--regs N] [--unroll N] [--budget N] [--dispatch naive|chained] \
+         [--regs N] [--unroll N] [--budget N] \
          [--exec-tier cycle|functional] [--async-translate] \
          [--translate-workers N] [--translate-queue N] \
          [--guests N] [--threads M] \
@@ -178,7 +175,6 @@ fn parse_args() -> Result<Args, ExitCode> {
         regs: 64,
         unroll: 1,
         budget: u64::MAX,
-        dispatch: None,
         exec_tier: None,
         async_translate: false,
         translate_workers: None,
@@ -208,16 +204,6 @@ fn parse_args() -> Result<Args, ExitCode> {
             }
             "--budget" => {
                 args.budget = value("--budget")?.parse().map_err(|_| usage())?;
-            }
-            "--dispatch" => {
-                args.dispatch = Some(match value("--dispatch")?.as_str() {
-                    "naive" => DispatchMode::Naive,
-                    "chained" => DispatchMode::Chained,
-                    other => {
-                        eprintln!("unknown dispatch mode '{other}' (naive|chained)");
-                        return Err(usage());
-                    }
-                });
             }
             "--exec-tier" => {
                 args.exec_tier = Some(match value("--exec-tier")?.as_str() {
@@ -392,9 +378,6 @@ fn main() -> ExitCode {
     if args.verify {
         cfg.verify_translations = true;
     }
-    if let Some(d) = args.dispatch {
-        cfg.dispatch = d;
-    }
     if let Some(t) = args.exec_tier {
         cfg.exec_tier = t;
     }
@@ -419,7 +402,7 @@ fn main() -> ExitCode {
     let mut sys = DynOptSystem::new(program.clone(), cfg);
     sys.run_to_completion(args.budget);
     if async_on {
-        // Settle in-flight jobs so the worker/publish counters are final.
+        // Settle in-flight jobs so the publish counters are final.
         sys.translation_drain();
     }
     let s = sys.stats();
@@ -446,14 +429,13 @@ fn main() -> ExitCode {
         );
     }
     if async_on {
+        let h = sys.hub_stats();
         println!(
-            "async translation:   {} enqueued, {} published, {} conflicts, {} stale entries, \
-             {} stall cycles avoided",
-            s.async_enqueued,
-            s.async_published,
-            s.async_publish_conflicts,
-            s.async_stale_entries,
-            s.stall_cycles_avoided()
+            "async translation:   {} started, {} published, {} conflicts, {} stale entries",
+            h.translations_started + h.retranslations,
+            h.translations_published,
+            h.gen_conflicts + h.publish_conflicts,
+            s.async_stale_entries
         );
     }
     if s.regions_verified > 0 || s.verify_errors > 0 {

@@ -1,14 +1,14 @@
 //! Every minimized repro captured by `smarq fuzz` is a permanent
 //! regression test: each entry in `tests/corpus/` is replayed through the
 //! full layered oracle stack (end-to-end state, allocation validation,
-//! fast-path differentials) and must stay green — including the async
-//! background translation pipeline, which is additionally swept here
-//! across seeded interleaving schedules at the most contended queue
-//! depth.
+//! fast-path differentials) and must stay green — including translation
+//! off the guest's thread, which is additionally swept here through a
+//! stepped hub across seeded interleaving schedules at the most
+//! contended queue depth.
 
 use smarq_fuzz::{check_program, load_dir, schemes, OracleParams};
 use smarq_guest::Interpreter;
-use smarq_runtime::{DynOptSystem, StepExecutor, StopReason, SystemConfig};
+use smarq_runtime::{DynOptSystem, StopReason, SystemConfig};
 use std::path::Path;
 
 #[test]
@@ -28,11 +28,11 @@ fn corpus_entries_replay_green() {
     }
 }
 
-/// Satellite coverage for the async pipeline: every corpus entry, under
-/// every hardware scheme, replayed with background translation through a
-/// depth-1 manually stepped queue (maximum submit/publish contention)
-/// across several interleaving seeds — and every combination must leave
-/// architectural state bit-exact against the pure interpreter.
+/// Satellite coverage for async translation: every corpus entry, under
+/// every hardware scheme, replayed through a stepped hub with a depth-1
+/// queue (maximum submit/publish contention) across several interleaving
+/// seeds — and every combination must leave architectural state and the
+/// retired instruction count exact against the pure interpreter.
 #[test]
 fn corpus_replays_bit_exact_with_async_translation() {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
@@ -45,13 +45,8 @@ fn corpus_replays_bit_exact_with_async_translation() {
             for seed in [1u64, 7, 23] {
                 let mut cfg = SystemConfig::with_opt(opt.clone());
                 cfg.hot_threshold = 10;
-                cfg.async_translate = true;
                 cfg.translate_queue_depth = 1;
-                let mut sys = DynOptSystem::with_executor(
-                    program.clone(),
-                    cfg,
-                    Box::new(StepExecutor::manual(1)),
-                );
+                let mut sys = DynOptSystem::stepped(program.clone(), cfg);
                 assert_eq!(
                     sys.run_interleaved(seed, u64::MAX),
                     StopReason::Halted,
@@ -62,6 +57,12 @@ fn corpus_replays_bit_exact_with_async_translation() {
                     sys.interp().arch_state(),
                     expected,
                     "{} under {label} seed {seed}: async replay diverged",
+                    path.display()
+                );
+                assert_eq!(
+                    sys.stats().guest_instrs(),
+                    reference.executed_instrs(),
+                    "{} under {label} seed {seed}: instruction count diverged",
                     path.display()
                 );
             }
