@@ -1,109 +1,32 @@
 //! Regenerates every table and figure of the SMARQ paper's evaluation.
 //!
-//! Usage: `figures [table1|table2|table3|fig14|fig15|fig16|fig17|fig18|fig19|ablations|all]`
-//! (default: `all`).
-//!
-//! `figures bench-json [OUT.json]` instead runs the before/after perf
-//! comparisons (see `smarq_bench::perf`), the serial-vs-parallel
-//! evaluation sweep and the multi-guest scaling benchmark, and writes the
-//! JSON baseline (default `BENCH_PR9.json`). The convention: a PR
-//! claiming performance work commits the file this prints, named
-//! `BENCH_PR<n>.json`.
+//! Usage: `figures [table1|table2|table3|fig14|fig15|fig16|fig17|fig18|fig19|ablations|sensitivity|all]`
+//! (default: `all`). An unknown section exits with status 2 before any
+//! workload runs.
 
-use smarq_bench::{bench_multi_guest, figures, perf, tables, Evaluation};
+use smarq_bench::{figures, tables, Evaluation};
 
-fn bench_json(out_path: &str) {
-    eprintln!("running before/after comparisons ...");
-    // Report each comparison as it finishes: on a slow host the full set
-    // takes a while, and a silent multi-minute gap is indistinguishable
-    // from a hang.
-    type ComparisonFn = fn() -> smarq_bench::harness::Comparison;
-    let parts: [(&str, ComparisonFn); 6] = [
-        ("constraint_analysis", perf::compare_constraint_analysis),
-        ("allocator", perf::compare_allocator),
-        ("mem_access_dense", perf::compare_mem_access_dense),
-        ("mem_access_sparse", perf::compare_mem_access_sparse),
-        ("exec_tier", perf::compare_exec_tier),
-        ("exec_tier_mem", perf::compare_exec_tier_mem),
-    ];
-    let mut comparisons = Vec::with_capacity(parts.len());
-    for (name, run) in parts {
-        eprintln!("[bench] {name} ...");
-        let c = run();
-        eprintln!("{}", c.report());
-        comparisons.push(c);
-    }
-    eprintln!("measuring absolute simulator + validator + analyzer throughput ...");
-    let (analyzer_region, analyzer_chain) = perf::measure_analyzer();
-    let absolutes = vec![
-        perf::measure_simulator_region(),
-        perf::measure_validator_regions(),
-        analyzer_region,
-        analyzer_chain,
-    ];
-    for m in &absolutes {
-        eprintln!("{}", m.line());
-    }
-    eprintln!("timing the evaluation sweep (serial, then parallel) ...");
-    let sweep = perf::time_eval_sweep();
-    if sweep.degenerate {
-        eprintln!(
-            "sweep: serial {:.2}s; single hardware thread, parallel run \
-             skipped (degenerate)",
-            sweep.serial_s
-        );
-    } else {
-        eprintln!(
-            "sweep: serial {:.2}s, parallel {:.2}s on {} threads ({:.2}x)",
-            sweep.serial_s,
-            sweep.parallel_s,
-            sweep.threads,
-            sweep.speedup()
-        );
-    }
-    eprintln!("running the multi-guest scaling benchmark ...");
-    let multi = bench_multi_guest();
-    for r in &multi.rows {
-        eprintln!(
-            "multiguest: {} threads  {:.2}s [{:.2}..{:.2}]  {:.2} guest-programs/s  {:.2}M guest-instrs/s",
-            r.threads,
-            r.wall_s,
-            r.wall_min_s,
-            r.wall_max_s,
-            r.guest_programs_per_s,
-            r.guest_instrs_per_s / 1.0e6
-        );
-    }
-    match multi.scaling_speedup() {
-        Some(s) => eprintln!(
-            "multiguest: {:.2}x from 1 -> {} threads; shared cache translated {} regions vs {} private",
-            s,
-            multi.rows.last().map_or(1, |r| r.threads),
-            multi.shared_translations,
-            multi.private_translations
-        ),
-        None => eprintln!(
-            "multiguest: single hardware thread, scaling rows skipped (degenerate); \
-             shared cache translated {} regions vs {} private",
-            multi.shared_translations, multi.private_translations
-        ),
-    }
-    let json = perf::to_json(&comparisons, &absolutes, Some(&sweep), Some(&multi));
-    if let Err(e) = std::fs::write(out_path, &json) {
-        eprintln!("error: cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("wrote {out_path}");
-}
+const SECTIONS: [&str; 12] = [
+    "table1",
+    "table2",
+    "table3",
+    "fig14",
+    "fig15",
+    "fig16",
+    "fig17",
+    "fig18",
+    "fig19",
+    "ablations",
+    "sensitivity",
+    "all",
+];
 
 fn main() {
     let arg = std::env::args().nth(1).unwrap_or_else(|| "all".into());
-    if arg == "bench-json" {
-        let out = std::env::args()
-            .nth(2)
-            .unwrap_or_else(|| "BENCH_PR9.json".into());
-        bench_json(&out);
-        return;
+    if !SECTIONS.contains(&arg.as_str()) {
+        eprintln!("unknown section '{arg}'");
+        eprintln!("sections: table1 table2 table3 fig14..fig19 ablations sensitivity all");
+        std::process::exit(2);
     }
     let needs_eval = !matches!(arg.as_str(), "table1" | "table2" | "table3" | "sensitivity");
     let ev = if needs_eval {
@@ -135,17 +58,9 @@ fn main() {
         ),
     ];
 
-    let mut printed = false;
     for (name, text) in &sections {
         if arg == "all" || arg == *name {
             println!("{text}");
-            printed = true;
         }
-    }
-    if !printed {
-        eprintln!("unknown section '{arg}'");
-        eprintln!("sections: table1 table2 table3 fig14..fig19 ablations sensitivity all");
-        eprintln!("perf baseline: bench-json [OUT.json]");
-        std::process::exit(2);
     }
 }

@@ -2,11 +2,9 @@
 //!
 //! Drives every workload through the dynamic optimization system under the
 //! paper's hardware configurations and regenerates each table and figure
-//! of the evaluation (paper §6). The `figures` binary prints them (and,
-//! with `bench-json`, writes the tracked perf baseline); the bench targets
-//! under `benches/` measure the implementation itself (allocator,
-//! constraint analysis and simulator throughput) on the in-repo
-//! [`harness`].
+//! of the evaluation (paper §6). The `figures` binary prints them. The
+//! implementation's own performance is measured end to end, layer by
+//! layer, by the separate `dbtbench` benchmark at the repository root.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -16,13 +14,7 @@ use smarq_runtime::{DynOptSystem, SystemConfig, SystemStats};
 use smarq_workloads::Workload;
 
 pub mod figures;
-pub mod harness;
-pub mod multiguest;
-pub mod perf;
-pub mod synth;
 pub mod tables;
-
-pub use multiguest::{bench_multi_guest, MultiGuestRow, MultiGuestScaling};
 
 /// The evaluation's hardware/optimizer configurations (paper Figures 15/16).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

@@ -53,13 +53,10 @@ pub struct SystemConfig {
     /// `smarq_verify` before it enters the code cache, and chain-check
     /// every region→region link when it is memoized. Findings accumulate
     /// in [`SystemStats`]; execution is never blocked (observation mode).
-    /// Defaults to the `SMARQ_VERIFY` environment variable (non-empty,
-    /// non-`0` value enables; read once per process).
+    /// Off by default.
     pub verify_translations: bool,
-    /// Execution tier for translated regions (see [`ExecTier`]).
-    /// Defaults to the `SMARQ_EXEC_TIER` environment variable
-    /// (`functional`, `fast` or `1` select the functional tier; read
-    /// once per process), otherwise the cycle simulator.
+    /// Execution tier for translated regions (see [`ExecTier`]); the
+    /// cycle simulator by default.
     pub exec_tier: ExecTier,
     /// On the functional tier, every `tier_sample_interval`-th region
     /// entry is also executed on the cycle simulator from the same
@@ -72,9 +69,7 @@ pub struct SystemConfig {
     /// on the hub's worker pool and the guest keeps interpreting until
     /// the finished region is published, picking it up at a later
     /// dispatch boundary. Off, translation runs inline on the requesting
-    /// guest's thread. The same meaning on both runtimes. Defaults to the
-    /// `SMARQ_ASYNC_TRANSLATE` environment variable (non-empty, non-`0`
-    /// enables; read once per process).
+    /// guest's thread. The same meaning on both runtimes. Off by default.
     pub async_translate: bool,
     /// Worker threads of the translation pool when `async_translate` is
     /// on (at least 1); ignored otherwise.
@@ -89,43 +84,9 @@ pub struct SystemConfig {
     /// contract for MMIO-like regions). Propagated into
     /// [`OptConfig::nospec`] at system construction; the whole-program
     /// value-range analysis ([`smarq_verify::analyze`]) supplies each
-    /// region's entry state so the taint is range-precise. Defaults to
-    /// the `SMARQ_NOSPEC` environment variable (`lo..hi[,lo..hi…]`,
-    /// half-open, decimal or `0x` hex; read once per process).
+    /// region's entry state so the taint is range-precise. Empty by
+    /// default.
     pub nospec_ranges: NospecRanges,
-}
-
-fn verify_from_env() -> bool {
-    static FROM_ENV: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FROM_ENV
-        .get_or_init(|| std::env::var_os("SMARQ_VERIFY").is_some_and(|v| !v.is_empty() && v != "0"))
-}
-
-fn async_from_env() -> bool {
-    static FROM_ENV: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FROM_ENV.get_or_init(|| {
-        std::env::var_os("SMARQ_ASYNC_TRANSLATE").is_some_and(|v| !v.is_empty() && v != "0")
-    })
-}
-
-fn nospec_from_env() -> NospecRanges {
-    static FROM_ENV: std::sync::OnceLock<NospecRanges> = std::sync::OnceLock::new();
-    FROM_ENV
-        .get_or_init(|| match std::env::var("SMARQ_NOSPEC") {
-            Ok(v) if !v.trim().is_empty() => {
-                NospecRanges::parse(&v).unwrap_or_else(|e| panic!("invalid SMARQ_NOSPEC: {e}"))
-            }
-            _ => NospecRanges::none(),
-        })
-        .clone()
-}
-
-fn exec_tier_from_env() -> ExecTier {
-    static FROM_ENV: std::sync::OnceLock<ExecTier> = std::sync::OnceLock::new();
-    *FROM_ENV.get_or_init(|| match std::env::var_os("SMARQ_EXEC_TIER") {
-        Some(v) if v == "functional" || v == "fast" || v == "1" => ExecTier::Functional,
-        _ => ExecTier::CycleSim,
-    })
 }
 
 impl Default for SystemConfig {
@@ -142,13 +103,13 @@ impl Default for SystemConfig {
             },
             unroll_factor: 1,
             max_rollbacks_per_region: 64,
-            verify_translations: verify_from_env(),
-            exec_tier: exec_tier_from_env(),
+            verify_translations: false,
+            exec_tier: ExecTier::CycleSim,
             tier_sample_interval: 256,
-            async_translate: async_from_env(),
+            async_translate: false,
             translate_workers: 1,
             translate_queue_depth: 4,
-            nospec_ranges: nospec_from_env(),
+            nospec_ranges: NospecRanges::none(),
         }
     }
 }
@@ -301,7 +262,7 @@ impl DynOptSystem {
     /// Runs the whole-chain static analyzer over every formed region that
     /// carries an optimizer trace (verify-on-emit mode keeps them).
     /// `None` when no region does — external oracles (the fuzzer's chain
-    /// layer, `smarq-run lint`) call this instead of rebuilding views.
+    /// layer, `smarq lint`) call this instead of rebuilding views.
     pub fn analyze_chain(&self) -> Option<ChainReport> {
         self.ctx.analyze_chain(&self.hub_cfg.opt.nospec)
     }

@@ -9,31 +9,22 @@
 //!                  [--translate-queue N] [--guests N] [--threads M]
 //!                  [--dump-region] [--compare] [--verify]
 //!                  [--nospec LO..HI[,..]]
-//! smarq-run lint PATH... [--json FILE] [--nospec LO..HI[,..]]
-//!                  [--deny CODE] [--allow CODE]
-//! smarq-run lint --list
 //! ```
 //!
-//! The `lint` subcommand statically verifies and lints every region the
-//! system forms for the given programs (or corpus directories) under every
-//! hardware scheme — see `crates/verify`. `--list` prints the stable
-//! diagnostic code table; `--deny CODE` / `--allow CODE` raise/lower a
-//! code's severity before the exit status is decided. `--verify` enables
-//! the runtime's verify-on-emit mode for a normal run (also via
-//! `SMARQ_VERIFY=1`); with it, region→region link formation additionally
-//! runs the whole-chain static analyzer. `--nospec LO..HI[,..]` declares
-//! half-open unspeculatable address ranges (also via `SMARQ_NOSPEC`):
-//! the optimizer never schedules speculation that can touch them, and the
+//! Static linting of programs and corpus directories is `smarq lint`
+//! (the `smarq-fuzz` crate). `--verify` enables the runtime's
+//! verify-on-emit mode; with it, region→region link formation
+//! additionally runs the whole-chain static analyzer. `--nospec
+//! LO..HI[,..]` declares half-open unspeculatable address ranges: the
+//! optimizer never schedules speculation that can touch them, and the
 //! chain analyzer proves none was.
 //! `--exec-tier functional` runs optimized regions on the fast functional
-//! tier with sampled cycle-sim tier-down checks (also via
-//! `SMARQ_EXEC_TIER=functional`). `--async-translate` moves region
-//! formation, optimization and verification onto background worker
-//! threads (also via `SMARQ_ASYNC_TRANSLATE=1`): the guest keeps
-//! interpreting while translations are in flight and picks finished
-//! regions up at dispatch-step boundaries. `--translate-workers N` sizes
-//! that pool (at least 1; ignored without `--async-translate`) and
-//! `--translate-queue N` bounds the job queue.
+//! tier with sampled cycle-sim tier-down checks. `--async-translate`
+//! moves region formation, optimization and verification onto background
+//! worker threads: the guest keeps interpreting while translations are in
+//! flight and picks finished regions up at dispatch-step boundaries.
+//! `--translate-workers N` sizes that pool (at least 1; ignored without
+//! `--async-translate`) and `--translate-queue N` bounds the job queue.
 //!
 //! `--guests N` (N >= 2) runs N tenants of the same program over one
 //! shared `TranslationHub` (sharded translation cache, single-flight
@@ -55,7 +46,7 @@ struct Args {
     regs: u32,
     unroll: u32,
     budget: u64,
-    exec_tier: Option<ExecTier>,
+    exec_tier: ExecTier,
     async_translate: bool,
     translate_workers: Option<u32>,
     translate_queue: Option<u32>,
@@ -64,7 +55,7 @@ struct Args {
     dump_region: bool,
     compare: bool,
     verify: bool,
-    nospec: Option<smarq::range::NospecRanges>,
+    nospec: smarq::range::NospecRanges,
 }
 
 fn usage() -> ExitCode {
@@ -74,98 +65,9 @@ fn usage() -> ExitCode {
          [--exec-tier cycle|functional] [--async-translate] \
          [--translate-workers N] [--translate-queue N] \
          [--guests N] [--threads M] \
-         [--dump-region] [--compare] [--verify] [--nospec LO..HI[,..]]\n\
-         \x20      smarq-run lint PATH... [--json FILE] [--nospec LO..HI[,..]] \
-         [--deny CODE] [--allow CODE]\n\
-         \x20      smarq-run lint --list"
+         [--dump-region] [--compare] [--verify] [--nospec LO..HI[,..]]"
     );
     ExitCode::from(2)
-}
-
-fn cmd_lint(args: &[String]) -> ExitCode {
-    if args.iter().any(|a| a == "--list") {
-        println!("code table version {}", smarq_verify::CODE_TABLE_VERSION);
-        for info in smarq_verify::CODES {
-            println!(
-                "{:<24} {:<9} {:<7} {}",
-                info.code,
-                info.origin.label(),
-                format!("{:?}", info.default_severity).to_lowercase(),
-                info.description
-            );
-        }
-        return ExitCode::SUCCESS;
-    }
-    let mut paths: Vec<&str> = Vec::new();
-    let mut json_out: Option<std::path::PathBuf> = None;
-    let mut nospec = smarq::range::NospecRanges::none();
-    let mut deny: Vec<String> = Vec::new();
-    let mut allow: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        if matches!(flag, "--json" | "--nospec" | "--deny" | "--allow") {
-            let Some(v) = args.get(i + 1) else {
-                eprintln!("{flag} needs a value");
-                return usage();
-            };
-            match flag {
-                "--json" => json_out = Some(std::path::PathBuf::from(v)),
-                "--nospec" => match smarq::range::NospecRanges::parse(v) {
-                    Ok(r) => nospec = r,
-                    Err(e) => {
-                        eprintln!("--nospec: {e}");
-                        return usage();
-                    }
-                },
-                "--deny" => deny.push(v.clone()),
-                _ => allow.push(v.clone()),
-            }
-            i += 2;
-        } else if flag.starts_with('-') {
-            eprintln!("unknown flag '{flag}'");
-            return usage();
-        } else {
-            paths.push(flag);
-            i += 1;
-        }
-    }
-    if paths.is_empty() {
-        return usage();
-    }
-    let policy = match smarq_verify::LintPolicy::new(deny, allow) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("smarq-run: {e}");
-            return usage();
-        }
-    };
-    let config = smarq_fuzz::LintConfig { nospec, policy };
-    let path_refs: Vec<&std::path::Path> = paths.iter().map(std::path::Path::new).collect();
-    let outcome =
-        match smarq_fuzz::lint_paths_with(&path_refs, &config, |line| println!("[lint] {line}")) {
-            Ok(o) => o,
-            Err(e) => {
-                eprintln!("smarq-run: {e}");
-                return ExitCode::from(1);
-            }
-        };
-    println!(
-        "[lint] {} entr(ies), {} region(s): {} error(s), {} warning(s)",
-        outcome.entries, outcome.regions, outcome.errors, outcome.warnings
-    );
-    if let Some(path) = json_out {
-        if let Err(e) = std::fs::write(&path, smarq_fuzz::lint::to_json(&outcome)) {
-            eprintln!("smarq-run: writing {}: {e}", path.display());
-            return ExitCode::from(1);
-        }
-        println!("[lint] wrote {}", path.display());
-    }
-    if outcome.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    }
 }
 
 fn parse_args() -> Result<Args, ExitCode> {
@@ -175,7 +77,7 @@ fn parse_args() -> Result<Args, ExitCode> {
         regs: 64,
         unroll: 1,
         budget: u64::MAX,
-        exec_tier: None,
+        exec_tier: ExecTier::CycleSim,
         async_translate: false,
         translate_workers: None,
         translate_queue: None,
@@ -184,7 +86,7 @@ fn parse_args() -> Result<Args, ExitCode> {
         dump_region: false,
         compare: false,
         verify: false,
-        nospec: None,
+        nospec: smarq::range::NospecRanges::none(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -206,14 +108,14 @@ fn parse_args() -> Result<Args, ExitCode> {
                 args.budget = value("--budget")?.parse().map_err(|_| usage())?;
             }
             "--exec-tier" => {
-                args.exec_tier = Some(match value("--exec-tier")?.as_str() {
+                args.exec_tier = match value("--exec-tier")?.as_str() {
                     "cycle" | "cycle-sim" => ExecTier::CycleSim,
                     "functional" | "fast" => ExecTier::Functional,
                     other => {
                         eprintln!("unknown exec tier '{other}' (cycle|functional)");
                         return Err(usage());
                     }
-                });
+                };
             }
             "--async-translate" => args.async_translate = true,
             "--translate-workers" => {
@@ -239,12 +141,11 @@ fn parse_args() -> Result<Args, ExitCode> {
                 }
             }
             "--nospec" => {
-                args.nospec = Some(
+                args.nospec =
                     smarq::range::NospecRanges::parse(&value("--nospec")?).map_err(|e| {
                         eprintln!("--nospec: {e}");
                         usage()
-                    })?,
-                );
+                    })?;
             }
             "--dump-region" => args.dump_region = true,
             "--compare" => args.compare = true,
@@ -346,10 +247,6 @@ fn run_multi_guests(program: smarq_guest::Program, cfg: SystemConfig, args: &Arg
 }
 
 fn main() -> ExitCode {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    if raw.first().map(String::as_str) == Some("lint") {
-        return cmd_lint(&raw[1..]);
-    }
     let args = match parse_args() {
         Ok(a) => a,
         Err(code) => return code,
@@ -375,24 +272,16 @@ fn main() -> ExitCode {
 
     let mut cfg = SystemConfig::with_opt(opt);
     cfg.unroll_factor = args.unroll;
-    if args.verify {
-        cfg.verify_translations = true;
-    }
-    if let Some(t) = args.exec_tier {
-        cfg.exec_tier = t;
-    }
-    if args.async_translate {
-        cfg.async_translate = true;
-    }
+    cfg.verify_translations = args.verify;
+    cfg.exec_tier = args.exec_tier;
+    cfg.async_translate = args.async_translate;
     if let Some(w) = args.translate_workers {
         cfg.translate_workers = w;
     }
     if let Some(q) = args.translate_queue {
         cfg.translate_queue_depth = q;
     }
-    if let Some(n) = args.nospec.clone() {
-        cfg.nospec_ranges = n;
-    }
+    cfg.nospec_ranges = args.nospec.clone();
     if args.guests >= 2 {
         return run_multi_guests(program, cfg, &args);
     }
