@@ -298,16 +298,21 @@ fn main() -> ExitCode {
 
     println!("hardware:            {}", args.hw);
     println!("guest instructions:  {}", s.guest_instrs());
-    println!("simulated cycles:    {}", s.total_cycles());
+    // The functional tier models no cycles, so cycle counts (and host
+    // time divided by them) would mean something else there.
+    if tier == ExecTier::CycleSim {
+        println!("simulated cycles:    {}", s.total_cycles());
+    }
     println!(
         "regions:             {} formed, {} entries, {} rollbacks, {} re-translations",
         s.regions_formed, s.region_entries, s.rollbacks, s.retranslations
     );
-    println!(
-        "optimization:        {:.4}% of execution time",
-        s.optimization_overhead() * 100.0
-    );
-    if tier == ExecTier::Functional {
+    if tier == ExecTier::CycleSim {
+        println!(
+            "optimization:        {:.4}% of execution time",
+            s.optimization_overhead() * 100.0
+        );
+    } else {
         println!(
             "functional tier:     {} fast entries, {} deopts, {} samples ({} mismatches, {} sampled cycles)",
             s.tier_fast_entries,
